@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +32,7 @@ from .errors import ConfigError, DataError, MismatchedGrids, NoComparableRows, P
 from .evaluation import (
     DEFAULT_MULTIPLIER_GRID,
     CVReport,
+    CvsResult,
     cv_quality,
     eqs_strategy,
     select_multiplier_cvs,
@@ -47,6 +49,7 @@ __all__ = [
     "QualityMatrix",
     "dolan_more",
     "emit_curves",
+    "evaluate_strategy",
     "parse_cell",
     "read_results",
     "run_benchmark",
@@ -67,6 +70,9 @@ CSV_HEADER = (
 )
 
 DEFAULT_CELLS = ("none", "ros+eqs", "ros+cvs", "rus+eqs", "rus+cvs", "smote+eqs", "smote+cvs")
+
+# status column: "ok", or "error:" and the name of the data error a failed cell raised
+_STATUS = re.compile(r"ok|error:[A-Za-z_]\w*")
 
 CLAMP_EPS = 1e-9
 BETA_POINTS = 200
@@ -273,63 +279,40 @@ def emit_curves(curves: Sequence[DolanMoreCurve], fmt: str, path: str | Path) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _CellOutcome:
-    qcv: float | None
-    rows: tuple[tuple[str, ...], ...]
-    error: str | None
-    report: CVReport | None
-
-
 def _hyperparams_json(params: dict) -> str:
     return json.dumps(params, sort_keys=True, separators=(",", ":"))
 
 
-def _compute_cell(
-    dataset_id: str,
+def evaluate_strategy(
     dataset: Dataset,
-    model_name: str,
     model: ModelSpec,
-    cell: str,
+    method: Method,
+    strategy: str,
+    multiplier: float,
     folds: int,
     seed: int,
     grid,
     smote_k: int,
     cvs_mode: str,
-) -> _CellOutcome:
-    method, strategy = parse_cell(cell)
-    cell_seed = derive_seed(seed, dataset_id, model_name, cell)
-    try:
-        if strategy == "none":
-            report = cv_quality(dataset, ResamplingSpec(Method.NONE), model, folds, cell_seed)
-        elif strategy == "eqs":
-            report = cv_quality(dataset, eqs_strategy(method, smote_k), model, folds, cell_seed)
-        else:
-            result = select_multiplier_cvs(
-                dataset, method, model, grid=grid, folds=folds, seed=cell_seed,
-                mode=cvs_mode, smote_k=smote_k,
-            )
-            report = result.report
-    except DataError as exc:
-        tag = f"error:{type(exc).__name__}"
-        log.warning("cell (%s, %s, %s) failed: %s", dataset_id, model_name, cell, exc)
-        row = (dataset_id, model_name, method.value, strategy, "", "", "", "", tag)
-        return _CellOutcome(qcv=None, rows=(row,), error=tag, report=None)
-    rows = tuple(
-        (
-            dataset_id,
-            model_name,
-            method.value,
-            strategy,
-            repr(report.fold_multipliers[f]),
-            str(f),
-            repr(report.fold_scores[f]),
-            _hyperparams_json(report.fold_params[f]),
-            "ok",
+) -> tuple[CVReport, CvsResult | None]:
+    """Cross-validated quality of one (method, strategy) configuration.
+
+    strategy "none" or "fixed" resamples every training fold by multiplier
+    (method none ignores it), "eqs" by the fold's IR, and "cvs" by the
+    multiplier select_multiplier_cvs picks from grid in cvs_mode. The
+    CvsResult is returned for "cvs" only.
+    """
+    if strategy in ("none", "fixed"):
+        spec = ResamplingSpec(Method.NONE) if method is Method.NONE else ResamplingSpec(method, multiplier, smote_k)
+        return cv_quality(dataset, spec, model, folds, seed), None
+    if strategy == "eqs":
+        return cv_quality(dataset, eqs_strategy(method, smote_k), model, folds, seed), None
+    if strategy == "cvs":
+        result = select_multiplier_cvs(
+            dataset, method, model, grid=grid, folds=folds, seed=seed, mode=cvs_mode, smote_k=smote_k
         )
-        for f in range(folds)
-    )
-    return _CellOutcome(qcv=report.qcv, rows=rows, error=None, report=report)
+        return result.report, result
+    raise ConfigError(f"strategy must be none, fixed, eqs or cvs, got {strategy!r}")
 
 
 def _cell_key(dataset_id: str, model_name: str, cell: str) -> tuple[str, str, str, str]:
@@ -337,23 +320,32 @@ def _cell_key(dataset_id: str, model_name: str, cell: str) -> tuple[str, str, st
     return (dataset_id, model_name, method.value, strategy)
 
 
-def _read_groups(path: Path) -> list[tuple[tuple[str, str, str, str], list[tuple[str, ...]]]]:
-    """Parse a results CSV into consecutive same-cell row groups."""
+def _read_groups(path: Path) -> tuple[list[tuple[tuple[str, str, str, str], list[tuple[str, ...]]]], str]:
+    """Parse a results CSV into consecutive same-cell row groups, plus its torn last line.
+
+    A crash while rows are being written can leave the last line without
+    its terminator; that line is returned apart ("" if there is none) and
+    not parsed. A file torn inside its header has no groups.
+    """
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(CSV_HEADER):
-            raise ParseError(f"{path}: unexpected header {header}")
-        groups = []
-        for row in reader:
-            if len(row) != len(CSV_HEADER):
-                raise ParseError(f"{path}: malformed row {row}")
-            key = (row[0], row[1], row[2], row[3])
-            if groups and groups[-1][0] == key:
-                groups[-1][1].append(tuple(row))
-            else:
-                groups.append((key, [tuple(row)]))
-    return groups
+        lines = fh.readlines()
+    torn = lines.pop() if lines and not lines[-1].endswith(("\n", "\r")) else ""
+    if not lines and ",".join(CSV_HEADER).startswith(torn):
+        return [], torn
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header != list(CSV_HEADER):
+        raise ParseError(f"{path}: unexpected header {header}")
+    groups = []
+    for row in reader:
+        if len(row) != len(CSV_HEADER) or not _STATUS.fullmatch(row[8]):
+            raise ParseError(f"{path}: malformed row {row}")
+        key = (row[0], row[1], row[2], row[3])
+        if groups and groups[-1][0] == key:
+            groups[-1][1].append(tuple(row))
+        else:
+            groups.append((key, [tuple(row)]))
+    return groups, torn
 
 
 def _group_complete(rows: list[tuple[str, ...]], folds: int) -> bool:
@@ -365,11 +357,14 @@ def _group_complete(rows: list[tuple[str, ...]], folds: int) -> bool:
 def _reusable_groups(path: Path, keys: list[tuple[str, str, str, str]], folds: int):
     """Longest prefix of complete groups matching the canonical key order.
 
-    The trailing group of an interrupted run may be partial; it is
-    discarded. Anything out of order means the file belongs to a different
-    configuration, which is an error rather than silent recomputation.
+    The trailing group of an interrupted run may be partial, and its last
+    line torn; both are discarded. Anything out of order means the file
+    belongs to a different configuration, which is an error rather than
+    silent recomputation.
     """
-    groups = _read_groups(path)
+    groups, torn = _read_groups(path)
+    if torn:
+        log.warning("discarding torn last line %r", torn)
     if len(groups) > len(keys):
         raise ParseError(f"{path}: has {len(groups)} cell groups, expected at most {len(keys)}")
     reused = []
@@ -383,13 +378,6 @@ def _reusable_groups(path: Path, keys: list[tuple[str, str, str, str]], folds: i
             break
         reused.append((key, rows))
     return reused
-
-
-def _outcome_from_rows(rows: list[tuple[str, ...]]) -> _CellOutcome:
-    if rows[0][8].startswith("error:"):
-        return _CellOutcome(qcv=None, rows=tuple(rows), error=rows[0][8], report=None)
-    qcv = float(np.mean([float(r[6]) for r in rows]))
-    return _CellOutcome(qcv=qcv, rows=tuple(rows), error=None, report=None)
 
 
 @dataclass(frozen=True)
@@ -423,8 +411,6 @@ def run_benchmark(
     """
     if not pool or not models or not cells:
         raise ConfigError("pool, models and cells must be nonempty")
-    for cell in cells:
-        parse_cell(cell)
     work = [
         (dataset_id, dataset, model_name, model, cell)
         for dataset_id, dataset in pool
@@ -435,25 +421,48 @@ def run_benchmark(
     if len(set(keys)) != len(keys):
         raise ConfigError("duplicate (dataset, model, cell) combinations")
 
-    outcomes: dict[tuple[str, str, str, str], _CellOutcome] = {}
+    cell_rows: dict[tuple[str, str, str], tuple[tuple[str, ...], ...]] = {}
+    reports: dict[tuple[str, str, str], CVReport] | None = {} if keep_reports else None
     out_path = Path(out) if out is not None else None
     reused_rows: list[tuple[str, ...]] = []
     start = 0
     if out_path is not None and resume and out_path.exists():
         reused = _reusable_groups(out_path, keys, folds)
-        for key, rows in reused:
-            outcomes[key] = _outcome_from_rows(rows)
+        for item, (_, rows) in zip(work, reused):
+            cell_rows[(item[0], item[2], item[4])] = tuple(rows)
             reused_rows.extend(rows)
         start = len(reused)
         log.info("resuming: %d of %d cells reused", start, len(work))
 
     pending = work[start:]
 
-    def run_one(item) -> _CellOutcome:
+    def run_one(item) -> tuple[tuple[tuple[str, ...], ...], CVReport | None]:
         dataset_id, dataset, model_name, model, cell = item
-        return _compute_cell(
-            dataset_id, dataset, model_name, model, cell, folds, seed, grid, smote_k, cvs_mode
+        method, strategy = parse_cell(cell)
+        cell_seed = derive_seed(seed, dataset_id, model_name, cell)
+        try:
+            report, _ = evaluate_strategy(
+                dataset, model, method, strategy, 1.0, folds, cell_seed, grid, smote_k, cvs_mode
+            )
+        except DataError as exc:
+            tag = f"error:{type(exc).__name__}"
+            log.warning("cell (%s, %s, %s) failed: %s", dataset_id, model_name, cell, exc)
+            return ((dataset_id, model_name, method.value, strategy, "", "", "", "", tag),), None
+        rows = tuple(
+            (
+                dataset_id,
+                model_name,
+                method.value,
+                strategy,
+                repr(report.fold_multipliers[f]),
+                str(f),
+                repr(report.fold_scores[f]),
+                _hyperparams_json(report.fold_params[f]),
+                "ok",
+            )
+            for f in range(folds)
         )
+        return rows, report
 
     fh = writer = None
     if out_path is not None:
@@ -469,10 +478,13 @@ def run_benchmark(
         else:
             executor = None
             results = map(run_one, pending)
-        for item, outcome in zip(pending, results):
-            outcomes[_cell_key(item[0], item[2], item[4])] = outcome
+        for item, (rows, report) in zip(pending, results):
+            key = (item[0], item[2], item[4])
+            cell_rows[key] = rows
+            if keep_reports and report is not None:
+                reports[key] = report
             if writer is not None:
-                writer.writerows(outcome.rows)
+                writer.writerows(rows)
                 fh.flush()
         if executor is not None:
             executor.shutdown()
@@ -480,73 +492,59 @@ def run_benchmark(
         if fh is not None:
             fh.close()
 
-    reports = {} if keep_reports else None
-    matrices = {}
-    n_errors = 0
-    for model_name, _ in models:
-        tasks = tuple(dataset_id for dataset_id, _ in pool)
-        values = np.full((len(pool), len(cells)), np.nan)
-        mask = np.zeros((len(pool), len(cells)), dtype=bool)
-        errors = []
-        for row, (dataset_id, _) in enumerate(pool):
-            for col, cell in enumerate(cells):
-                outcome = outcomes[_cell_key(dataset_id, model_name, cell)]
-                if outcome.error is not None:
-                    errors.append((dataset_id, cell, outcome.error))
-                    n_errors += 1
-                else:
-                    values[row, col] = outcome.qcv
-                    mask[row, col] = True
-                if keep_reports and outcome.report is not None:
-                    reports[(dataset_id, model_name, cell)] = outcome.report
-        matrices[model_name] = QualityMatrix(
-            tasks=tasks, methods=tuple(cells), values=values, mask=mask, errors=tuple(errors)
-        )
+    matrices = _assemble_matrices(cell_rows)
     return BenchmarkResult(
-        matrices=matrices, csv_path=out_path, n_cells=len(work), n_errors=n_errors, reports=reports
+        matrices=matrices,
+        csv_path=out_path,
+        n_cells=len(work),
+        n_errors=sum(len(matrix.errors) for matrix in matrices.values()),
+        reports=reports,
     )
 
 
-def read_results(path: str | Path) -> dict[str, QualityMatrix]:
-    """Rebuild per-model quality matrices from a results CSV."""
-    groups = _read_groups(Path(path))
-    if not groups:
-        raise ParseError(f"{path}: no result rows")
-    tasks: list[str] = []
-    models: list[str] = []
-    cells: list[str] = []
-    data: dict[tuple[str, str, str], _CellOutcome] = {}
-    for (dataset_id, model_name, method, strategy), rows in groups:
-        cell = "none" if strategy == "none" else f"{method}+{strategy}"
-        key = (dataset_id, model_name, cell)
-        if key in data:
-            raise ParseError(f"{path}: duplicate cell group {key}")
-        is_error = rows[0][8].startswith("error:")
-        if not is_error and [r[5] for r in rows] != [str(f) for f in range(len(rows))]:
-            raise ParseError(f"{path}: malformed fold sequence in cell group {key}")
-        data[key] = _outcome_from_rows(rows)
-        if dataset_id not in tasks:
-            tasks.append(dataset_id)
-        if model_name not in models:
-            models.append(model_name)
-        if cell not in cells:
-            cells.append(cell)
+def _assemble_matrices(cell_rows: dict[tuple[str, str, str], Sequence[tuple[str, ...]]]) -> dict[str, QualityMatrix]:
+    """One QualityMatrix per model from (dataset id, model, cell) -> results CSV rows.
+
+    A cell's Q^CV is the mean of its fold scores. Tasks, models and cells
+    keep the order in which the keys first name them; (task, cell) pairs
+    without rows stay masked.
+    """
+    tasks, model_names, cells = (tuple(dict.fromkeys(key[i] for key in cell_rows)) for i in range(3))
     matrices = {}
-    for model_name in models:
+    for model_name in model_names:
         values = np.full((len(tasks), len(cells)), np.nan)
         mask = np.zeros((len(tasks), len(cells)), dtype=bool)
         errors = []
         for row, dataset_id in enumerate(tasks):
             for col, cell in enumerate(cells):
-                outcome = data.get((dataset_id, model_name, cell))
-                if outcome is None:
+                rows = cell_rows.get((dataset_id, model_name, cell))
+                if rows is None:
                     continue
-                if outcome.error is not None:
-                    errors.append((dataset_id, cell, outcome.error))
+                if rows[0][8] != "ok":
+                    errors.append((dataset_id, cell, rows[0][8]))
                 else:
-                    values[row, col] = outcome.qcv
+                    values[row, col] = np.mean([float(r[6]) for r in rows])
                     mask[row, col] = True
         matrices[model_name] = QualityMatrix(
-            tasks=tuple(tasks), methods=tuple(cells), values=values, mask=mask, errors=tuple(errors)
+            tasks=tasks, methods=cells, values=values, mask=mask, errors=tuple(errors)
         )
     return matrices
+
+
+def read_results(path: str | Path) -> dict[str, QualityMatrix]:
+    """Rebuild per-model quality matrices from a results CSV; a torn last line is an error."""
+    groups, torn = _read_groups(Path(path))
+    if torn:
+        raise ParseError(f"{path}: torn last line {torn!r}")
+    if not groups:
+        raise ParseError(f"{path}: no result rows")
+    data: dict[tuple[str, str, str], list[tuple[str, ...]]] = {}
+    for (dataset_id, model_name, method, strategy), rows in groups:
+        cell = "none" if strategy == "none" else f"{method}+{strategy}"
+        key = (dataset_id, model_name, cell)
+        if key in data:
+            raise ParseError(f"{path}: duplicate cell group {key}")
+        if not _group_complete(rows, len(rows)):
+            raise ParseError(f"{path}: malformed fold sequence in cell group {key}")
+        data[key] = rows
+    return _assemble_matrices(data)

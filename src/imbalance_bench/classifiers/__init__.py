@@ -1,23 +1,21 @@
 """Classification models with a minor-class score in [0, 1].
 
 Three families are provided: a CART decision tree, brute-force k-nearest
-neighbors, and L1-regularized logistic regression. ``fit`` selects
-hyperparameters from the family grid by inner stratified cross-validation
-maximizing PR-AUC, breaking ties toward the simpler model (shallower tree
-with larger leaves, larger k, larger lam).
+neighbors, and L1-regularized logistic regression. ``select_hyperparams``
+picks the grid point with the best mean PR-AUC over given (train,
+validation) pairs, breaking ties toward the simpler model (shallower tree
+with larger leaves, larger k, larger lam). The tuning policy that builds
+those pairs by inner stratified cross-validation, and ``fit`` (tune, then
+refit), live in ``imbalance_bench.evaluation``.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
 
-import numpy as np
-
-from ..datasets import Dataset, stratified_kfold
-from ..errors import EmptyClass
+from ..datasets import Dataset
 from ..metrics import pr_auc
 from .knn import KnnScorer, fit_knn
 from .logreg import LogRegScorer, fit_logreg, logreg_objective_and_gradient, solve_l1_logreg
@@ -32,15 +30,11 @@ __all__ = [
     "TreeScorer",
     "default_grid",
     "simplest_params",
-    "fit",
     "fit_with_params",
     "select_hyperparams",
-    "score",
     "logreg_objective_and_gradient",
     "solve_l1_logreg",
 ]
-
-log = logging.getLogger(__name__)
 
 TrainedScorer = Union[TreeScorer, KnnScorer, LogRegScorer]
 
@@ -112,7 +106,10 @@ def select_hyperparams(
 
     pairs are (train, validation) datasets, typically inner CV splits; the
     caller controls how they were built (in particular whether the training
-    side was resampled). Ties go to the simpler candidate.
+    side was resampled). Candidates are tried simplest first and ties go to
+    the simpler one. PR-AUC is at most 1, so the search stops at the first
+    candidate whose mean reaches 1.0: no later one can beat it. The returned
+    table therefore lists only the candidates evaluated, in that order.
     """
     if not pairs:
         raise ValueError("need at least one (train, validation) pair")
@@ -129,34 +126,7 @@ def select_hyperparams(
         table.append((dict(params), mean_q))
         if mean_q > best_q:
             best_params, best_q = dict(params), mean_q
+            if best_q >= 1.0:
+                break
     assert best_params is not None
     return best_params, tuple(table)
-
-
-def fit(spec: ModelSpec, train: Dataset) -> TrainedScorer:
-    """Tune hyperparameters by inner stratified CV on train, then refit.
-
-    When either class has fewer elements than tuning_folds, tuning degrades
-    to the simplest grid point (logged).
-    """
-    major, minor = train.class_counts()
-    if minor == 0 or major == 0:
-        raise EmptyClass("training data must contain both classes")
-    if min(major, minor) < spec.tuning_folds:
-        params = simplest_params(spec)
-        log.warning(
-            "class counts %d/%d below tuning_folds=%d; using default hyperparameters %s",
-            major, minor, spec.tuning_folds, params,
-        )
-    elif len(spec.grid) == 1:
-        params = dict(spec.grid[0])
-    else:
-        folds = stratified_kfold(train, spec.tuning_folds, spec.seed)
-        pairs = [(train.subset(tr), train.subset(te)) for tr, te in folds]
-        params, _ = select_hyperparams(spec, pairs)
-    return fit_with_params(spec.family, params, train)
-
-
-def score(model: TrainedScorer, X) -> np.ndarray:
-    """Minor-class scores in [0, 1] for each row of X."""
-    return model.score(X)

@@ -28,6 +28,7 @@ from .benchmark import (
     DEFAULT_CELLS,
     dolan_more,
     emit_curves,
+    evaluate_strategy,
     parse_cell,
     read_results,
     run_benchmark,
@@ -35,12 +36,7 @@ from .benchmark import (
 from .classifiers import Family, ModelSpec
 from .datasets import GaussianPoolConfig, generate_gaussian_pool, load_csv, load_pool, save_csv, write_pool
 from .errors import ConfigError, DataError, UsageError
-from .evaluation import (
-    DEFAULT_MULTIPLIER_GRID,
-    cv_quality,
-    eqs_strategy,
-    select_multiplier_cvs,
-)
+from .evaluation import DEFAULT_MULTIPLIER_GRID
 from .resampling import DEFAULT_SMOTE_K, Method, ResamplingSpec, resample
 
 log = logging.getLogger(__name__)
@@ -248,21 +244,17 @@ def cmd_evaluate(args) -> int:
 
     dataset = load_csv(args.input, relabel=args.relabel)
     model = ModelSpec(family=Family(args.model), tuning_folds=args.tuning_folds, seed=args.seed)
-    payload: dict
+    multiplier = 1.0
     if strategy == "fixed":
-        spec = _fixed_spec(method, fixed_m, args.smote_k)
-        report = cv_quality(dataset, spec, model, args.folds, args.seed)
-        payload = _report_payload(report)
-        payload["multiplier"] = spec.multiplier
-    elif strategy == "eqs":
-        report = cv_quality(dataset, eqs_strategy(method, args.smote_k), model, args.folds, args.seed)
-        payload = _report_payload(report)
-    else:
-        result = select_multiplier_cvs(
-            dataset, method, model, grid=args.cvs_grid, folds=args.folds,
-            seed=args.seed, mode=args.cvs_mode, smote_k=args.smote_k,
-        )
-        payload = _report_payload(result.report)
+        multiplier = _fixed_spec(method, fixed_m, args.smote_k).multiplier
+    report, result = evaluate_strategy(
+        dataset, model, method, strategy, multiplier, args.folds, args.seed,
+        args.cvs_grid, args.smote_k, args.cvs_mode,
+    )
+    payload = _report_payload(report)
+    if strategy == "fixed":
+        payload["multiplier"] = multiplier
+    if result is not None:
         payload["mode"] = result.mode
         payload["best_multiplier"] = result.best_multiplier
         payload["table"] = [[m, None if q != q else q] for m, q in result.table]

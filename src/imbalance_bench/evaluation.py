@@ -7,6 +7,11 @@ elements into test folds and inflate the reported quality, so the test
 portion is never touched. Hyperparameters are tuned per fold by an inner
 CV whose validation splits are likewise left un-resampled.
 
+``_tune`` holds the tuning policy for cv_quality and for ``fit`` (tune on
+a training set, then refit on all of it): the simplest grid point when a
+class has fewer elements than ``tuning_folds``, else ``select_hyperparams``
+over inner stratified folds, whose table lists only the candidates tried.
+
 Two strategies pick the resampling multiplier:
 
 * EqS equalizes classes, m = IR of the training fold;
@@ -17,14 +22,15 @@ Two strategies pick the resampling multiplier:
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
-from .classifiers import ModelSpec, fit_with_params, select_hyperparams, simplest_params
+from .classifiers import ModelSpec, TrainedScorer, fit_with_params, select_hyperparams, simplest_params
 from .datasets import Dataset, imbalance_ratio, stratified_kfold
-from .errors import EmptyGrid, MinorityTooSmall, MultiplierOutOfRange, WouldEmptyMajority
+from .errors import EmptyClass, EmptyGrid, MinorityTooSmall, MultiplierOutOfRange, WouldEmptyMajority
 from .metrics import pr_auc, pr_curve
 from .resampling import DEFAULT_SMOTE_K, Method, ResamplingSpec, resample
 from .rng import derive_seed
@@ -36,11 +42,14 @@ __all__ = [
     "Strategy",
     "cv_quality",
     "eqs_strategy",
+    "fit",
     "pr_auc",
     "pr_curve",
     "select_multiplier_eqs",
     "select_multiplier_cvs",
 ]
+
+log = logging.getLogger(__name__)
 
 # Spans multipliers 1.25 through 10; m = 1 is the separate "none" method.
 DEFAULT_MULTIPLIER_GRID = (1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0)
@@ -76,6 +85,51 @@ def _clamped(spec: ResamplingSpec, cap: float) -> ResamplingSpec:
     if cap <= 1.0:
         return ResamplingSpec(Method.NONE)
     return ResamplingSpec(spec.method, cap, spec.smote_k)
+
+
+def _tune(
+    model: ModelSpec,
+    train: Dataset,
+    seed: int,
+    prepare: Callable[[int, Dataset], Dataset],
+) -> tuple[dict, bool]:
+    """Hyperparameters for train, and whether tuning fell back to the simplest.
+
+    Inner stratified folds of train are seeded by seed; prepare(inner fold,
+    inner training split) gives the dataset each candidate is fitted on,
+    while the inner validation splits are used as they are.
+    """
+    major, minor = train.class_counts()
+    if min(major, minor) < model.tuning_folds:
+        return simplest_params(model), True
+    if len(model.grid) == 1:
+        return dict(model.grid[0]), False
+    inner = stratified_kfold(train, model.tuning_folds, seed)
+    pairs = [
+        (prepare(inner_fold, train.subset(fit_idx)), train.subset(val_idx))
+        for inner_fold, (fit_idx, val_idx) in enumerate(inner)
+    ]
+    params, _ = select_hyperparams(model, pairs)
+    return params, False
+
+
+def fit(spec: ModelSpec, train: Dataset) -> TrainedScorer:
+    """Tune hyperparameters by inner stratified CV on train, then refit.
+
+    The inner folds are seeded by spec.seed. When either class has fewer
+    elements than tuning_folds, tuning degrades to the simplest grid point
+    (logged).
+    """
+    major, minor = train.class_counts()
+    if minor == 0 or major == 0:
+        raise EmptyClass("training data must contain both classes")
+    params, degraded = _tune(spec, train, spec.seed, lambda inner_fold, inner_train: inner_train)
+    if degraded:
+        log.warning(
+            "class counts %d/%d below tuning_folds=%d; using default hyperparameters %s",
+            major, minor, spec.tuning_folds, params,
+        )
+    return fit_with_params(spec.family, params, train)
 
 
 def cv_quality(
@@ -115,24 +169,14 @@ def cv_quality(
                 )
         resampled = resample(train, fold_spec, derive_seed(seed, "resample", fold)).dataset
 
-        major, minor = train.class_counts()
-        if min(major, minor) < model.tuning_folds:
-            params = simplest_params(model)
-            degraded = True
-        elif len(model.grid) == 1:
-            params = dict(model.grid[0])
-        else:
-            inner = stratified_kfold(train, model.tuning_folds, derive_seed(seed, "tune-folds", fold))
-            pairs = []
-            for inner_fold, (fit_idx, val_idx) in enumerate(inner):
-                inner_train = train.subset(fit_idx)
-                inner_spec = _clamped(fold_spec, imbalance_ratio(inner_train))
-                inner_resampled = resample(
-                    inner_train, inner_spec, derive_seed(seed, "tune-resample", fold, inner_fold)
-                ).dataset
-                pairs.append((inner_resampled, train.subset(val_idx)))
-            params, _ = select_hyperparams(model, pairs)
+        def prepare(inner_fold: int, inner_train: Dataset) -> Dataset:
+            inner_spec = _clamped(fold_spec, imbalance_ratio(inner_train))
+            return resample(
+                inner_train, inner_spec, derive_seed(seed, "tune-resample", fold, inner_fold)
+            ).dataset
 
+        params, fold_degraded = _tune(model, train, derive_seed(seed, "tune-folds", fold), prepare)
+        degraded = degraded or fold_degraded
         scorer = fit_with_params(model.family, params, resampled)
         scores.append(pr_auc(scorer.score(test.features), test.labels))
         params_per_fold.append(params)
@@ -238,18 +282,21 @@ def select_multiplier_cvs(
     if mode not in ("oracle", "nested"):
         raise ValueError(f"mode must be oracle or nested, got {mode!r}")
 
-    if mode == "oracle":
-        table = []
-        reports = {}
-        for m in _effective_grid(grid, imbalance_ratio(dataset)):
+    def scan(data: Dataset, scan_folds: int, *labels) -> tuple[list[tuple[float, float]], dict]:
+        """(m, Q^CV) per effective grid point, NaN where infeasible, and the reports."""
+        table, reports = [], {}
+        for m in _effective_grid(grid, imbalance_ratio(data)):
             spec = ResamplingSpec(method, m, smote_k)
             try:
-                report = cv_quality(dataset, spec, model, folds, derive_seed(seed, "cvs", repr(m)))
+                reports[m] = cv_quality(data, spec, model, scan_folds, derive_seed(seed, *labels, repr(m)))
             except _INFEASIBLE:
                 table.append((m, float("nan")))
                 continue
-            table.append((m, report.qcv))
-            reports[m] = report
+            table.append((m, reports[m].qcv))
+        return table, reports
+
+    if mode == "oracle":
+        table, reports = scan(dataset, folds, "cvs")
         best_m, best_q = _argmax_smallest(table)
         return CvsResult(
             mode="oracle",
@@ -260,16 +307,7 @@ def select_multiplier_cvs(
         )
 
     def nested_pick(train: Dataset, fold: int) -> ResamplingSpec:
-        inner_table = []
-        for m in _effective_grid(grid, imbalance_ratio(train)):
-            spec = ResamplingSpec(method, m, smote_k)
-            try:
-                report = cv_quality(train, spec, model, 3, derive_seed(seed, "nested", fold, repr(m)))
-            except _INFEASIBLE:
-                inner_table.append((m, float("nan")))
-                continue
-            inner_table.append((m, report.qcv))
-        best_m, _ = _argmax_smallest(inner_table)
+        best_m, _ = _argmax_smallest(scan(train, 3, "nested", fold)[0])
         return ResamplingSpec(method, best_m, smote_k)
 
     report = cv_quality(dataset, nested_pick, model, folds, seed)

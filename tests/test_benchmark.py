@@ -327,6 +327,34 @@ def test_run_benchmark_resume_with_complete_prefix(tmp_path):
     assert resumed.read_bytes() == reference
 
 
+def test_run_benchmark_resume_from_every_byte_offset(tmp_path):
+    # a crash can cut the file anywhere, also inside the header or a row
+    pool = [("near_balanced", make(11, 10, seed=3)), ("ds_a", make(24, 8, seed=1))]
+    kwargs = dict(cells=("none", "ros+cvs"), folds=2, seed=9, grid=(2.0,))
+    full = tmp_path / "full.csv"
+    run_benchmark(pool, [("knn", FAST_KNN)], out=full, **kwargs)
+    reference = full.read_bytes()
+    assert b"error:EmptyGrid" in reference
+
+    resumed = tmp_path / "resumed.csv"
+    for offset in range(len(reference)):
+        resumed.write_bytes(reference[:offset])
+        run_benchmark(pool, [("knn", FAST_KNN)], out=resumed, resume=True, **kwargs)
+        assert resumed.read_bytes() == reference, f"offset {offset}"
+
+
+@pytest.mark.parametrize("status", ["", "o", "error:", "failed"])
+def test_run_benchmark_resume_rejects_bad_status(tmp_path, status):
+    kwargs = dict(cells=("none", "ros+eqs"), folds=2, seed=9)
+    out = tmp_path / "results.csv"
+    run_benchmark(small_pool(), [("knn", FAST_KNN)], out=out, **kwargs)
+    lines = out.read_text().splitlines(keepends=True)
+    lines[1] = lines[1].replace(",ok\n", f",{status}\n")
+    out.write_text("".join(lines))
+    with pytest.raises(ParseError):
+        run_benchmark(small_pool(), [("knn", FAST_KNN)], out=out, resume=True, **kwargs)
+
+
 def test_run_benchmark_resume_rejects_reordered_file(tmp_path):
     kwargs = dict(cells=("none", "ros+eqs"), folds=2, seed=9)
     out = tmp_path / "results.csv"
@@ -391,6 +419,16 @@ def test_read_results_rejects_repeated_group(tmp_path):
     out.write_text("".join(lines + lines[1:3]))  # first group again, after the second
     with pytest.raises(ParseError):
         read_results(out)
+
+
+def test_read_results_rejects_torn_last_line(tmp_path):
+    out = tmp_path / "results.csv"
+    run_benchmark(small_pool()[:1], [("knn", FAST_KNN)], cells=("none",), folds=2, out=out)
+    data = out.read_bytes()
+    for cut in (1, 2, 3):  # the newline lost, then the status cut to "o" and to ""
+        out.write_bytes(data[:-cut])
+        with pytest.raises(ParseError):
+            read_results(out)
 
 
 def test_read_results_rejects_bad_header(tmp_path):

@@ -17,10 +17,11 @@ from imbalance_bench import (
     fit_with_params,
     from_rows,
     logreg_objective_and_gradient,
-    score,
+    pr_auc,
     select_hyperparams,
+    stratified_kfold,
 )
-from imbalance_bench.classifiers import simplest_params
+from imbalance_bench.classifiers import _simplicity_key, simplest_params
 from imbalance_bench.classifiers.knn import fit_knn
 from imbalance_bench.classifiers.logreg import fit_logreg, solve_l1_logreg, standardize_stats
 from imbalance_bench.classifiers.tree import fit_tree
@@ -370,13 +371,43 @@ def test_simplest_params_per_family():
     assert simplest_params(ModelSpec(family=Family.LOGREG)) == {"lam": 10.0}
 
 
+def full_search(spec, pairs):
+    """select_hyperparams without its early exit: every candidate, simplest first."""
+    table = []
+    best_params, best_q = None, -1.0
+    for params in sorted(spec.grid, key=lambda p: _simplicity_key(spec.family, p)):
+        total = 0.0
+        for train, val in pairs:
+            total += pr_auc(fit_with_params(spec.family, params, train).score(val.features), val.labels)
+        mean_q = total / len(pairs)
+        table.append((dict(params), mean_q))
+        if mean_q > best_q:
+            best_params, best_q = dict(params), mean_q
+    return best_params, tuple(table)
+
+
 def test_select_hyperparams_ties_go_to_simpler():
     train = blobs(6, 6, gap=30.0, seed=0)
     val = blobs(6, 6, gap=30.0, seed=1)
     spec = ModelSpec(family=Family.KNN, grid=({"k": 1}, {"k": 3}))
+    _, full_table = full_search(spec, [(train, val)])
+    assert [q for _, q in full_table] == [1.0, 1.0]
     params, table = select_hyperparams(spec, [(train, val)])
-    assert all(q == 1.0 for _, q in table)
     assert params == {"k": 3}  # both perfect: larger k is simpler
+    assert table == full_table[:1]  # nothing can beat a perfect score
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("gap, exits", [(8.0, True), (0.5, False)])
+def test_select_hyperparams_matches_full_search(family, gap, exits):
+    ds = blobs(24, 9, gap=gap, d=3, seed=5)
+    pairs = [(ds.subset(tr), ds.subset(te)) for tr, te in stratified_kfold(ds, 3, 1)]
+    spec = ModelSpec(family=family)
+    params, table = select_hyperparams(spec, pairs)
+    oracle_params, oracle_table = full_search(spec, pairs)
+    assert params == oracle_params
+    assert table == oracle_table[: len(table)]
+    assert (len(table) < len(spec.grid)) == exits
 
 
 def test_select_hyperparams_prefers_better_candidate():
@@ -400,6 +431,14 @@ def test_fit_degrades_below_tuning_folds(caplog):
     assert any("tuning_folds" in record.message for record in caplog.records)
 
 
+def test_fit_tunes_on_folds_seeded_by_spec_seed():
+    ds = blobs(30, 12, gap=1.0, seed=3)
+    spec = ModelSpec(family=Family.TREE, seed=1)
+    pairs = [(ds.subset(tr), ds.subset(te)) for tr, te in stratified_kfold(ds, spec.tuning_folds, spec.seed)]
+    params, _ = select_hyperparams(spec, pairs)
+    assert fit(spec, ds).params == params == {"max_depth": 8, "min_leaf": 1}
+
+
 def test_fit_requires_both_classes():
     ds = from_rows(np.ones((4, 1)), np.zeros(4, dtype=int))
     with pytest.raises(EmptyClass):
@@ -420,7 +459,7 @@ def test_score_wrapper_and_dimension_mismatch():
     ds = blobs(10, 5, gap=4.0)
     for family, params in ((Family.TREE, {"max_depth": 2, "min_leaf": 1}), (Family.KNN, {"k": 1}), (Family.LOGREG, {"lam": 0.1})):
         model = fit_with_params(family, params, ds)
-        values = score(model, ds.features)
+        values = model.score(ds.features)
         assert ((values >= 0.0) & (values <= 1.0)).all()
         with pytest.raises(DimensionMismatch):
             model.score(np.ones((3, 5)))

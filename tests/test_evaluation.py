@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imbalance_bench import (
     CVReport,
@@ -66,6 +68,25 @@ def test_pr_auc_worked_example():
 
 def test_pr_auc_perfect_ranking_is_one():
     assert pr_auc([0.9, 0.8, 0.1, 0.0], [1, 1, 0, 0]) == 1.0
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_pr_auc_perfect_ranking_with_ties_never_exceeds_one(data):
+    # select_hyperparams stops at the first mean PR-AUC of 1.0; that is
+    # exact only if no ranking can score above 1.0
+    n = data.draw(st.integers(1, 1000), label="n")
+    n_pos = data.draw(st.integers(1, n), label="n_pos")
+    pos_levels = data.draw(st.integers(1, n_pos), label="pos_levels")
+    neg_levels = data.draw(st.integers(1, max(1, n - n_pos)), label="neg_levels")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    # every minor score is at least 1 and every major score at most 0
+    scores = np.concatenate(
+        [1.0 + rng.integers(0, pos_levels, size=n_pos), -rng.integers(0, neg_levels, size=n - n_pos)]
+    ).astype(float)
+    labels = np.array([1] * n_pos + [0] * (n - n_pos))
+    order = rng.permutation(n)
+    assert pr_auc(scores[order], labels[order]) <= 1.0
 
 
 def test_pr_auc_constant_scores_equal_prevalence():
