@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -325,7 +326,9 @@ def _read_groups(path: Path) -> tuple[list[tuple[tuple[str, str, str, str], list
 
     A crash while rows are being written can leave the last line without
     its terminator; that line is returned apart ("" if there is none) and
-    not parsed. A file torn inside its header has no groups.
+    not parsed. A file torn inside its header has no groups. Every ok row
+    must carry a multiplier, q_prc and chosen_hyperparams that parse and
+    lie in range, so that nothing downstream half-trusts a row.
     """
     with path.open(newline="", encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -340,12 +343,24 @@ def _read_groups(path: Path) -> tuple[list[tuple[tuple[str, str, str, str], list
     for row in reader:
         if len(row) != len(CSV_HEADER) or not _STATUS.fullmatch(row[8]):
             raise ParseError(f"{path}: malformed row {row}")
+        if row[8] == "ok" and not _values_in_range(row):
+            raise ParseError(f"{path}: multiplier, q_prc or chosen_hyperparams out of range in row {row}")
         key = (row[0], row[1], row[2], row[3])
         if groups and groups[-1][0] == key:
             groups[-1][1].append(tuple(row))
         else:
             groups.append((key, [tuple(row)]))
     return groups, torn
+
+
+def _values_in_range(row: list[str]) -> bool:
+    """Whether an ok row has a finite multiplier >= 1, a q_prc in [0, 1] and a JSON object of hyperparameters."""
+    try:
+        multiplier, q = float(row[4]), float(row[6])
+        params = json.loads(row[7])
+    except ValueError:
+        return False
+    return 1.0 <= multiplier < np.inf and 0.0 <= q <= 1.0 and isinstance(params, dict)
 
 
 def _group_complete(rows: list[tuple[str, ...]], folds: int) -> bool:
@@ -466,11 +481,20 @@ def run_benchmark(
 
     fh = writer = None
     if out_path is not None:
-        fh = out_path.open("w", newline="", encoding="utf-8")
+        # the reused rows go to a temporary file that then replaces the
+        # results file, so a failure before that leaves the file as it was
+        tmp_path = out_path.with_name(out_path.name + ".tmp")
+        try:
+            with tmp_path.open("w", newline="", encoding="utf-8") as tmp:
+                writer = csv.writer(tmp, lineterminator="\n")
+                writer.writerow(CSV_HEADER)
+                writer.writerows(reused_rows)
+            os.replace(tmp_path, out_path)
+        except BaseException:
+            tmp_path.unlink(missing_ok=True)
+            raise
+        fh = out_path.open("a", newline="", encoding="utf-8")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(reused_rows)
-        fh.flush()
     try:
         if jobs > 1 and pending:
             executor = ThreadPoolExecutor(max_workers=jobs)

@@ -4,9 +4,11 @@ Three families are provided: a CART decision tree, brute-force k-nearest
 neighbors, and L1-regularized logistic regression. ``select_hyperparams``
 picks the grid point with the best mean PR-AUC over given (train,
 validation) pairs, breaking ties toward the simpler model (shallower tree
-with larger leaves, larger k, larger lam). The tuning policy that builds
-those pairs by inner stratified cross-validation, and ``fit`` (tune, then
-refit), live in ``imbalance_bench.evaluation``.
+with larger leaves, larger k, larger lam). Tree candidates share fits: one
+per pair and min_leaf at the grid's largest max_depth, truncated to each
+shallower depth. The tuning policy that builds those pairs by inner
+stratified cross-validation, and ``fit`` (tune, then refit), live in
+``imbalance_bench.evaluation``.
 """
 
 from __future__ import annotations
@@ -99,6 +101,37 @@ def fit_with_params(family: Family, params: dict, train: Dataset) -> TrainedScor
     return fit_logreg(train, lam=params["lam"])
 
 
+def _tree_quality(grid: Sequence[dict], pairs: Sequence[tuple[Dataset, Dataset]]):
+    """quality(params, i): validation PR-AUC of tree params fitted on pairs[i].
+
+    A tree is a prefix of any deeper tree with the same min_leaf, so each
+    (pair, min_leaf) is fitted once, at the grid's largest max_depth, on
+    first use, and shallower candidates truncate that fit. Depths beyond
+    the one the fit reached give the same tree, so each distinct tree is
+    scored once.
+    """
+    if any(p["max_depth"] < 1 for p in grid):
+        raise ValueError("max_depth must be positive")
+    deepest = max(p["max_depth"] for p in grid)
+    fits: dict[tuple[int, int], tuple[TreeScorer, int]] = {}
+    scores: dict[tuple[int, int, int], float] = {}
+
+    def quality(params: dict, i: int) -> float:
+        train, val = pairs[i]
+        leaf = params["min_leaf"]
+        if (i, leaf) not in fits:
+            tree = fit_tree(train, max_depth=deepest, min_leaf=leaf)
+            fits[i, leaf] = tree, tree.depth
+        tree, reached = fits[i, leaf]
+        depth = min(params["max_depth"], reached)
+        if (i, leaf, depth) not in scores:
+            scorer = tree if depth == reached else tree.truncated(depth)
+            scores[i, leaf, depth] = pr_auc(scorer.score(val.features), val.labels)
+        return scores[i, leaf, depth]
+
+    return quality
+
+
 def select_hyperparams(
     spec: ModelSpec, pairs: Sequence[tuple[Dataset, Dataset]]
 ) -> tuple[dict, tuple[tuple[dict, float], ...]]:
@@ -110,18 +143,29 @@ def select_hyperparams(
     the simpler one. PR-AUC is at most 1, so the search stops at the first
     candidate whose mean reaches 1.0: no later one can beat it. The returned
     table therefore lists only the candidates evaluated, in that order.
+
+    kNN and logreg fit every candidate on every pair. Tree candidates share
+    fits: one per pair and min_leaf, truncated to each max_depth, with
+    exactly the scores separate fits would give.
     """
     if not pairs:
         raise ValueError("need at least one (train, validation) pair")
+    if spec.family is Family.TREE:
+        quality = _tree_quality(spec.grid, pairs)
+    else:
+
+        def quality(params: dict, i: int) -> float:
+            train, val = pairs[i]
+            return pr_auc(fit_with_params(spec.family, params, train).score(val.features), val.labels)
+
     candidates = sorted(spec.grid, key=lambda p: _simplicity_key(spec.family, p))
     table = []
     best_params: dict | None = None
     best_q = -1.0
     for params in candidates:
         total = 0.0
-        for train, val in pairs:
-            scorer = fit_with_params(spec.family, params, train)
-            total += pr_auc(scorer.score(val.features), val.labels)
+        for i in range(len(pairs)):
+            total += quality(params, i)
         mean_q = total / len(pairs)
         table.append((dict(params), mean_q))
         if mean_q > best_q:

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..datasets import Dataset
-from ..errors import DimensionMismatch
+from ..datasets import Dataset, feature_matrix
 
 
 @dataclass(frozen=True)
@@ -29,11 +28,7 @@ class KnnScorer:
         return self.train_features.shape[1]
 
     def score(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise DimensionMismatch(f"expected n x {self.n_features} matrix, got shape {X.shape}")
-        if not np.isfinite(X).all():
-            raise ValueError("features must be finite")
+        X = feature_matrix(X, self.n_features)
         out = np.empty(X.shape[0])
         for i, row in enumerate(X):
             diff = self.train_features - row

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..datasets import Dataset
-from ..errors import DimensionMismatch
+from ..datasets import Dataset, feature_matrix
 
 MAX_ITER = 5000
 TOL = 1e-8
@@ -45,6 +44,10 @@ def _smooth_loss_and_gradient(
     return loss, grad_w, grad_b
 
 
+def _objective(loss: float, w: np.ndarray, lam: float) -> float:
+    return loss + lam * float(np.abs(w).sum())
+
+
 def logreg_objective_and_gradient(
     w: np.ndarray, b: float, lam: float, X: np.ndarray, y: np.ndarray
 ) -> tuple[float, np.ndarray]:
@@ -56,7 +59,7 @@ def logreg_objective_and_gradient(
     """
     w = np.asarray(w, dtype=np.float64)
     loss, grad_w, grad_b = _smooth_loss_and_gradient(w, float(b), np.asarray(X, dtype=np.float64), np.asarray(y))
-    objective = loss + lam * float(np.abs(w).sum())
+    objective = _objective(loss, w, lam)
     return objective, np.append(grad_w, grad_b)
 
 
@@ -81,7 +84,7 @@ def solve_l1_logreg(
     b = 0.0
     step = 1.0
     loss, grad_w, grad_b = _smooth_loss_and_gradient(w, b, X, y)
-    objective = loss + lam * float(np.abs(w).sum())
+    objective = _objective(loss, w, lam)
     history = [objective]
     for _ in range(max_iter):
         while True:
@@ -93,7 +96,7 @@ def solve_l1_logreg(
             db = b_new - b
             gap = float(dw @ dw + db * db)
             bound = loss + float(grad_w @ dw) + grad_b * db + gap / (2.0 * step)
-            objective_new = loss_new + lam * float(np.abs(w_new).sum())
+            objective_new = _objective(loss_new, w_new, lam)
             if loss_new <= bound + 1e-15 and objective_new <= objective:
                 break
             step *= 0.5
@@ -123,11 +126,7 @@ class LogRegScorer:
         return len(self.w)
 
     def score(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise DimensionMismatch(f"expected n x {self.n_features} matrix, got shape {X.shape}")
-        if not np.isfinite(X).all():
-            raise ValueError("features must be finite")
+        X = feature_matrix(X, self.n_features)
         return _sigmoid((X - self.mean) / self.scale @ self.w + self.b)
 
 

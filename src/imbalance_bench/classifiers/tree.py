@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..datasets import Dataset
-from ..errors import DimensionMismatch
+from ..datasets import Dataset, feature_matrix
 
 
 @dataclass(frozen=True)
@@ -33,16 +31,25 @@ def _leaf(labels: np.ndarray) -> TreeNode:
     return TreeNode(score=(minor + 1) / (len(labels) + 2), n=len(labels))
 
 
-def _exact_cost(n_left: int, k_left: int, n_right: int, k_right: int) -> Fraction:
-    """n_L * gini_L + n_R * gini_R as an exact rational.
+def _exact_cost(n_left: int, k_left: int, n_right: int, k_right: int) -> tuple[int, int]:
+    """n_L * gini_L + n_R * gini_R as an exact (numerator, positive denominator).
 
-    n * gini = n - (k^2 + (n-k)^2) / n for a block of n elements with k
-    minors; exact arithmetic makes the declared tie-break order (lower
-    feature, then lower threshold) independent of float rounding.
+    n * gini = 2k(n-k) / n for a block of n elements with k minors; exact
+    arithmetic makes the declared tie-break order (lower feature, then lower
+    threshold) independent of float rounding.
     """
-    left = Fraction(n_left * n_left - k_left * k_left - (n_left - k_left) ** 2, n_left)
-    right = Fraction(n_right * n_right - k_right * k_right - (n_right - k_right) ** 2, n_right)
-    return left + right
+    left = 2 * k_left * (n_left - k_left)
+    right = 2 * k_right * (n_right - k_right)
+    return left * n_right + right * n_left, n_left * n_right
+
+
+def _precedes(a: tuple[int, int, int, float], b: tuple[int, int, int, float]) -> bool:
+    """Whether split a comes before split b; each is (cost numerator, denominator, feature, threshold).
+
+    Lower exact cost first, compared by cross-multiplication, then lower
+    feature, then lower threshold.
+    """
+    return (a[0] * b[1], a[2], a[3]) < (b[0] * a[1], b[2], b[3])
 
 
 def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float] | None:
@@ -50,7 +57,7 @@ def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float
 
     Candidate thresholds are midpoints between consecutive distinct sorted
     values of each feature. A float pass locates the near-minimal
-    candidates; exact rational comparison then settles ties toward the
+    candidates; exact integer comparison then settles ties toward the
     lower feature index and lower threshold.
     """
     n, d = X.shape
@@ -77,16 +84,16 @@ def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float
     lowest = cost.min()
     near = np.argwhere(cost <= lowest + 1e-9 * max(1.0, abs(lowest)))
 
-    best: tuple[Fraction, int, float] | None = None
+    best: tuple[int, int, int, float] | None = None
     for pos, j in near:
         size = int(pos) + 1
-        exact = _exact_cost(size, int(cum_minor[pos, j]), n - size, total_minor - int(cum_minor[pos, j]))
+        k_left = int(cum_minor[pos, j])
         threshold = (float(sorted_x[pos, j]) + float(sorted_x[pos + 1, j])) / 2.0
-        key = (exact, int(j), threshold)
-        if best is None or key < best:
+        key = (*_exact_cost(size, k_left, n - size, total_minor - k_left), int(j), threshold)
+        if best is None or _precedes(key, best):
             best = key
     assert best is not None
-    return best[1], best[2]
+    return best[2], best[3]
 
 
 def _build(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int, max_depth: int, min_leaf: int) -> TreeNode:
@@ -119,6 +126,20 @@ def _depth(node: TreeNode) -> int:
     return 1 + max(_depth(node.left), _depth(node.right))
 
 
+def _truncate(node: TreeNode, max_depth: int) -> TreeNode:
+    """node with every node at depth max_depth turned into a leaf.
+
+    An internal node already carries the score and n its leaf would have,
+    and _build stops on depth alone, so this is the tree a fit with
+    max_depth would grow.
+    """
+    if node.is_leaf:
+        return node
+    if max_depth == 0:
+        return TreeNode(score=node.score, n=node.n)
+    return replace(node, left=_truncate(node.left, max_depth - 1), right=_truncate(node.right, max_depth - 1))
+
+
 @dataclass(frozen=True)
 class TreeScorer:
     """Fitted tree; ``score`` returns the Laplace leaf frequency per row."""
@@ -131,12 +152,18 @@ class TreeScorer:
     def depth(self) -> int:
         return _depth(self.root)
 
+    def truncated(self, max_depth: int) -> TreeScorer:
+        """The tree fit_tree would give on the same data with this max_depth.
+
+        max_depth may not exceed the one this tree was fitted with.
+        """
+        if not 1 <= max_depth <= self.params["max_depth"]:
+            raise ValueError(f"max_depth must lie in [1, {self.params['max_depth']}], got {max_depth}")
+        params = {"max_depth": max_depth, "min_leaf": self.params["min_leaf"]}
+        return replace(self, root=_truncate(self.root, max_depth), params=params)
+
     def score(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise DimensionMismatch(f"expected n x {self.n_features} matrix, got shape {X.shape}")
-        if not np.isfinite(X).all():
-            raise ValueError("features must be finite")
+        X = feature_matrix(X, self.n_features)
         out = np.empty(X.shape[0])
         self._fill(self.root, X, np.arange(X.shape[0]), out)
         return out

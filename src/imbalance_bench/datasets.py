@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyClass, LabelError, MajorityMislabeled, ParseError, TooFewElements
+from .errors import ConfigError, DimensionMismatch, EmptyClass, LabelError, MajorityMislabeled, ParseError, TooFewElements
 from .rng import substream
 
 log = logging.getLogger(__name__)
@@ -83,6 +83,16 @@ def from_rows(features: np.ndarray, labels: np.ndarray) -> Dataset:
     """Dataset with fresh ``orig:<row>`` ids."""
     n = np.asarray(features).shape[0]
     return Dataset(features, labels, tuple(f"orig:{i}" for i in range(n)))
+
+
+def feature_matrix(X, n_features: int) -> np.ndarray:
+    """X as a float64 matrix of finite values with n_features columns; what every scorer accepts."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise DimensionMismatch(f"expected n x {n_features} matrix, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("features must be finite")
+    return X
 
 
 def imbalance_ratio(dataset: Dataset) -> float:

@@ -436,3 +436,61 @@ def test_read_results_rejects_bad_header(tmp_path):
     bad.write_text("wrong,header\n")
     with pytest.raises(ParseError):
         read_results(bad)
+
+
+def test_run_benchmark_failed_rewrite_keeps_complete_cells(tmp_path, monkeypatch):
+    import csv
+
+    kwargs = dict(cells=("none", "ros+eqs"), folds=2, seed=9)
+    out = tmp_path / "results.csv"
+    run_benchmark(small_pool(), [("knn", FAST_KNN)], out=out, **kwargs)
+    reference = out.read_bytes()
+    lines = reference.decode().splitlines(keepends=True)
+    out.write_text("".join(lines[: 1 + 3 * 2 + 1]))  # three complete groups and a partial one
+    prefix = out.read_bytes()
+
+    real_writer = csv.writer
+
+    class FailingWriter:
+        def __init__(self, fh, **kw):
+            self.inner = real_writer(fh, **kw)
+
+        def writerow(self, row):
+            self.inner.writerow(row)
+
+        def writerows(self, rows):
+            rows = list(rows)
+            self.inner.writerows(rows[:1])
+            raise OSError("disk full")
+
+    monkeypatch.setattr(csv, "writer", FailingWriter)
+    with pytest.raises(OSError, match="disk full"):
+        run_benchmark(small_pool(), [("knn", FAST_KNN)], out=out, resume=True, **kwargs)
+    assert out.read_bytes() == prefix
+    assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
+    monkeypatch.undo()
+    run_benchmark(small_pool(), [("knn", FAST_KNN)], out=out, resume=True, **kwargs)
+    assert out.read_bytes() == reference
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [(6, "abc"), (6, "1.5"), (6, "-0.1"), (6, "nan"), (4, "0.5"), (4, "inf"), (4, "x"), (7, "[1]"), (7, "{")],
+)
+def test_resume_and_read_results_reject_out_of_range_values(tmp_path, column, value):
+    import csv
+
+    kwargs = dict(cells=("none", "ros+eqs"), folds=2, seed=9)
+    out = tmp_path / "results.csv"
+    run_benchmark(small_pool(), [("knn", FAST_KNN)], out=out, **kwargs)
+    with out.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[3][column] = value
+    with out.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    corrupted = out.read_bytes()
+    with pytest.raises(ParseError):
+        read_results(out)
+    with pytest.raises(ParseError):
+        run_benchmark(small_pool(), [("knn", FAST_KNN)], out=out, resume=True, **kwargs)
+    assert out.read_bytes() == corrupted

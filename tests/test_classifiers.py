@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -17,14 +15,15 @@ from imbalance_bench import (
     fit_with_params,
     from_rows,
     logreg_objective_and_gradient,
-    pr_auc,
     select_hyperparams,
     stratified_kfold,
 )
-from imbalance_bench.classifiers import _simplicity_key, simplest_params
+from imbalance_bench.classifiers import simplest_params
 from imbalance_bench.classifiers.knn import fit_knn
 from imbalance_bench.classifiers.logreg import fit_logreg, solve_l1_logreg, standardize_stats
-from imbalance_bench.classifiers.tree import fit_tree
+from imbalance_bench.classifiers.tree import _exact_cost, _precedes, fit_tree
+from oracles import brute_force_best_split, fraction_cost, full_search
+from test_golden import ties_pool
 
 
 def blobs(n_major=30, n_minor=10, gap=8.0, d=2, seed=0):
@@ -39,28 +38,6 @@ def blobs(n_major=30, n_minor=10, gap=8.0, d=2, seed=0):
 # ---------------------------------------------------------------------------
 # Decision tree
 # ---------------------------------------------------------------------------
-
-
-def brute_force_best_split(X, y, min_leaf):
-    """Exhaustive exact-Gini split search with the declared tie order."""
-    n, d = X.shape
-    best = None
-    for j in range(d):
-        values = sorted(set(X[:, j]))
-        for lo, hi in zip(values, values[1:]):
-            t = (lo + hi) / 2.0
-            left = X[:, j] <= t
-            nl, nr = int(left.sum()), int((~left).sum())
-            if nl < min_leaf or nr < min_leaf:
-                continue
-            kl, kr = int(y[left].sum()), int(y[~left].sum())
-            cost = Fraction(nl * nl - kl * kl - (nl - kl) ** 2, nl) + Fraction(
-                nr * nr - kr * kr - (nr - kr) ** 2, nr
-            )
-            key = (cost, j, t)
-            if best is None or key < best:
-                best = key
-    return None if best is None else (best[1], best[2])
 
 
 def walk_leaves(node):
@@ -173,6 +150,44 @@ def test_tree_scores_within_unit_interval():
     tree = fit_tree(ds, 25, 1)
     scores = tree.score(ds.features)
     assert ((scores > 0.0) & (scores < 1.0)).all()  # Laplace keeps scores interior
+
+
+@pytest.mark.parametrize("leaf", [1, 2, 5])
+def test_truncated_tree_equals_direct_fit(leaf):
+    ties = ties_pool()[0][1]
+    datasets = [blobs(40, 20, gap=gap, d=3, seed=seed) for seed, gap in ((0, 0.5), (1, 1.5), (2, 4.0))]
+    datasets += [ties] + [ties.subset(train) for train, _ in stratified_kfold(ties, 3, 0)]
+    cut = 0
+    for ds in datasets:
+        deep = fit_tree(ds, 25, leaf)
+        for depth in (1, 2, 4, 6, 8, 12, 25):
+            assert deep.truncated(depth) == fit_tree(ds, depth, leaf)
+            cut += depth < deep.depth
+    assert cut > len(datasets)  # most trees are deeper than the shallow depths
+
+
+def test_truncated_rejects_depth_outside_the_fit():
+    tree = fit_tree(blobs(seed=1), 4, 1)
+    for depth in (0, 5):
+        with pytest.raises(ValueError):
+            tree.truncated(depth)
+
+
+def test_exact_cost_order_matches_fraction_order():
+    rng = np.random.default_rng(0)
+    splits = []
+    for _ in range(300):
+        n_left, n_right = (int(v) for v in rng.integers(1, 7, size=2))
+        k_left, k_right = int(rng.integers(0, n_left + 1)), int(rng.integers(0, n_right + 1))
+        feature, threshold = int(rng.integers(0, 3)), float(rng.choice([0.5, 1.5]))
+        exact = _exact_cost(n_left, k_left, n_right, k_right)
+        oracle = fraction_cost(n_left, k_left, n_right, k_right)
+        splits.append(((*exact, feature, threshold), (oracle, feature, threshold)))
+    # exact cost ties, also between unequal (numerator, denominator) pairs
+    assert any(a[1][0] == b[1][0] and a[0][:2] != b[0][:2] for a in splits for b in splits)
+    for new, oracle in splits:
+        for other_new, other_oracle in splits:
+            assert _precedes(new, other_new) == (oracle < other_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -371,21 +386,6 @@ def test_simplest_params_per_family():
     assert simplest_params(ModelSpec(family=Family.LOGREG)) == {"lam": 10.0}
 
 
-def full_search(spec, pairs):
-    """select_hyperparams without its early exit: every candidate, simplest first."""
-    table = []
-    best_params, best_q = None, -1.0
-    for params in sorted(spec.grid, key=lambda p: _simplicity_key(spec.family, p)):
-        total = 0.0
-        for train, val in pairs:
-            total += pr_auc(fit_with_params(spec.family, params, train).score(val.features), val.labels)
-        mean_q = total / len(pairs)
-        table.append((dict(params), mean_q))
-        if mean_q > best_q:
-            best_params, best_q = dict(params), mean_q
-    return best_params, tuple(table)
-
-
 def test_select_hyperparams_ties_go_to_simpler():
     train = blobs(6, 6, gap=30.0, seed=0)
     val = blobs(6, 6, gap=30.0, seed=1)
@@ -408,6 +408,38 @@ def test_select_hyperparams_matches_full_search(family, gap, exits):
     assert params == oracle_params
     assert table == oracle_table[: len(table)]
     assert (len(table) < len(spec.grid)) == exits
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        # unsorted depths, one min_leaf, a depth above the default 25
+        ({"max_depth": 6, "min_leaf": 2}, {"max_depth": 40, "min_leaf": 2},
+         {"max_depth": 1, "min_leaf": 2}, {"max_depth": 3, "min_leaf": 2}),
+        default_grid(Family.TREE),
+    ],
+)
+def test_select_hyperparams_tree_grid_matches_full_search(monkeypatch, grid):
+    import imbalance_bench.classifiers as classifiers
+
+    fits = []
+
+    def counted_fit_tree(train, max_depth, min_leaf):
+        fits.append((max_depth, min_leaf))
+        return fit_tree(train, max_depth, min_leaf)
+
+    monkeypatch.setattr(classifiers, "fit_tree", counted_fit_tree)
+    spec = ModelSpec(family=Family.TREE, grid=grid)
+    deepest = max(p["max_depth"] for p in grid)
+    leaves = {p["min_leaf"] for p in grid}
+    for ds in (ties_pool()[0][1], blobs(30, 12, gap=1.0, d=3, seed=3)):
+        pairs = [(ds.subset(tr), ds.subset(te)) for tr, te in stratified_kfold(ds, 3, 2)]
+        fits.clear()
+        params, table = select_hyperparams(spec, pairs)
+        assert sorted(fits) == sorted((deepest, leaf) for leaf in leaves for _ in pairs)
+        oracle_params, oracle_table = full_search(spec, pairs)
+        assert params == oracle_params
+        assert table == oracle_table[: len(table)]
 
 
 def test_select_hyperparams_prefers_better_candidate():

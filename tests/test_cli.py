@@ -348,3 +348,28 @@ def test_curves_missing_model_is_data_error(tmp_path, capsys):
     )
     assert code == 2
     assert "data error" in err
+
+
+@pytest.mark.parametrize("q_prc", ["abc", "1.5"])
+def test_bad_q_prc_is_data_error_on_resume_and_curves(tmp_path, capsys, q_prc):
+    pool = make_pool_dir(tmp_path, capsys)
+    results = tmp_path / "results.csv"
+    args = ("benchmark", "--pool", str(pool), "--models", "knn",
+            "--cells", "none,ros+eqs", "--folds", "2", "--out", str(results))
+    assert run(capsys, *args)[0] == 0
+    lines = results.read_text().splitlines(keepends=True)
+    fields = lines[1].split(",")
+    fields[6] = q_prc
+    lines[1] = ",".join(fields)
+    results.write_text("".join(lines))
+    corrupted = results.read_bytes()
+
+    code, _, err = run(capsys, *args, "--resume")
+    assert code == 2
+    assert "data error" in err
+    assert results.read_bytes() == corrupted
+    code, _, err = run(
+        capsys, "curves", "--results", str(results), "--model", "knn", "--out", str(tmp_path / "c.csv"),
+    )
+    assert code == 2
+    assert "data error" in err
