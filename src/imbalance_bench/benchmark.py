@@ -490,9 +490,8 @@ def run_benchmark(
                 writer.writerow(CSV_HEADER)
                 writer.writerows(reused_rows)
             os.replace(tmp_path, out_path)
-        except BaseException:
+        finally:
             tmp_path.unlink(missing_ok=True)
-            raise
         fh = out_path.open("a", newline="", encoding="utf-8")
         writer = csv.writer(fh, lineterminator="\n")
     try:
