@@ -1,14 +1,16 @@
 """L1-regularized logistic regression via proximal gradient descent.
 
 Objective: mean logistic loss + lam * ||w||_1, bias unpenalized. Features
-are standardized to zero mean and unit variance before solving;
-zero-variance features get scale 1, so they stay identically 0 after
-centering and their weights remain 0 under any lam.
+are standardized to zero mean and unit variance before solving. A
+feature constant in training gets its value as mean and scale 1 (as does
+one whose variance underflows), so it is identically 0 after centering
+and its weight stays 0 under any lam.
 
 Solver: ISTA with backtracking line search on the smooth part. Steps are
 accepted only when the quadratic upper bound holds and the full objective
 does not increase, so the recorded objective history is non-increasing by
-construction.
+construction. Margins and loss are computed once per line-search trial;
+the accepted trial's values feed the next gradient.
 """
 
 from __future__ import annotations
@@ -24,12 +26,25 @@ TOL = 1e-8
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    denominator = 1.0 + e
+    return np.where(z >= 0, 1.0 / denominator, e / denominator)
+
+
+def _mean(v: np.ndarray) -> float:
+    """np.mean's pairwise sum and division, bitwise, without its Python wrapper."""
+    return float(v.sum()) / len(v)
+
+
+def _loss(z: np.ndarray, y: np.ndarray) -> float:
+    """Mean logistic loss at the margins z."""
+    return _mean(np.logaddexp(0.0, z) - y * z)
+
+
+def _gradient(z: np.ndarray, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Gradient of the mean logistic loss in (w, b) at the margins z."""
+    residual = _sigmoid(z) - y
+    return X.T @ residual / len(y), _mean(residual)
 
 
 def _smooth_loss_and_gradient(
@@ -37,11 +52,7 @@ def _smooth_loss_and_gradient(
 ) -> tuple[float, np.ndarray, float]:
     """Mean logistic loss and its gradient in (w, b)."""
     z = X @ w + b
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
-    residual = _sigmoid(z) - y
-    grad_w = X.T @ residual / len(y)
-    grad_b = float(residual.mean())
-    return loss, grad_w, grad_b
+    return (_loss(z, y), *_gradient(z, X, y))
 
 
 def _objective(loss: float, w: np.ndarray, lam: float) -> float:
@@ -91,7 +102,7 @@ def solve_l1_logreg(
             w_new = _soft_threshold(w - step * grad_w, step * lam)
             b_new = b - step * grad_b
             z = X @ w_new + b_new
-            loss_new = float(np.mean(np.logaddexp(0.0, z) - y * z))
+            loss_new = _loss(z, y)
             dw = w_new - w
             db = b_new - b
             gap = float(dw @ dw + db * db)
@@ -103,11 +114,11 @@ def solve_l1_logreg(
             if step < 1e-18:
                 return w, b, history
         improvement = objective - objective_new
-        w, b, objective = w_new, b_new, objective_new
+        w, b, loss, objective = w_new, b_new, loss_new, objective_new
         history.append(objective)
         if improvement < tol:
             break
-        loss, grad_w, grad_b = _smooth_loss_and_gradient(w, b, X, y)
+        grad_w, grad_b = _gradient(z, X, y)
     return w, b, history
 
 
@@ -133,7 +144,9 @@ class LogRegScorer:
 def standardize_stats(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = features.mean(axis=0)
     scale = features.std(axis=0)
-    scale[scale == 0.0] = 1.0
+    constant = (features == features[0]).all(axis=0)
+    mean[constant] = features[0, constant]
+    scale[constant | (scale == 0.0)] = 1.0
     return mean, scale
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from imbalance_bench import fit_with_params, pr_auc
 from imbalance_bench.classifiers import _simplicity_key
 
@@ -47,3 +49,64 @@ def brute_force_best_split(X, y, min_leaf):
             if best is None or key < best:
                 best = key
     return None if best is None else (best[1], best[2])
+
+
+def masked_sigmoid(z):
+    """The two-branch sigmoid with boolean gather and scatter."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _smooth_loss_and_gradient(w, b, X, y):
+    z = X @ w + b
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+    residual = masked_sigmoid(z) - y
+    grad_w = X.T @ residual / len(y)
+    grad_b = float(residual.mean())
+    return loss, grad_w, grad_b
+
+
+def _objective(loss, w, lam):
+    return loss + lam * float(np.abs(w).sum())
+
+
+def _soft_threshold(v, t):
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+def ista(X, y, lam, max_iter=5000, tol=1e-8):
+    """solve_l1_logreg recomputing margins, loss and gradient at every accepted point."""
+    n, d = X.shape
+    w = np.zeros(d)
+    b = 0.0
+    step = 1.0
+    loss, grad_w, grad_b = _smooth_loss_and_gradient(w, b, X, y)
+    objective = _objective(loss, w, lam)
+    history = [objective]
+    for _ in range(max_iter):
+        while True:
+            w_new = _soft_threshold(w - step * grad_w, step * lam)
+            b_new = b - step * grad_b
+            z = X @ w_new + b_new
+            loss_new = float(np.mean(np.logaddexp(0.0, z) - y * z))
+            dw = w_new - w
+            db = b_new - b
+            gap = float(dw @ dw + db * db)
+            bound = loss + float(grad_w @ dw) + grad_b * db + gap / (2.0 * step)
+            objective_new = _objective(loss_new, w_new, lam)
+            if loss_new <= bound + 1e-15 and objective_new <= objective:
+                break
+            step *= 0.5
+            if step < 1e-18:
+                return w, b, history
+        improvement = objective - objective_new
+        w, b, objective = w_new, b_new, objective_new
+        history.append(objective)
+        if improvement < tol:
+            break
+        loss, grad_w, grad_b = _smooth_loss_and_gradient(w, b, X, y)
+    return w, b, history

@@ -20,9 +20,9 @@ from imbalance_bench import (
 )
 from imbalance_bench.classifiers import simplest_params
 from imbalance_bench.classifiers.knn import fit_knn
-from imbalance_bench.classifiers.logreg import fit_logreg, solve_l1_logreg, standardize_stats
+from imbalance_bench.classifiers.logreg import LogRegScorer, _sigmoid, fit_logreg, solve_l1_logreg, standardize_stats
 from imbalance_bench.classifiers.tree import _exact_cost, _precedes, fit_tree
-from oracles import brute_force_best_split, fraction_cost, full_search
+from oracles import brute_force_best_split, fraction_cost, full_search, ista, masked_sigmoid
 from test_golden import ties_pool
 
 
@@ -346,6 +346,85 @@ def test_logreg_standardization_guards_zero_variance():
     model = fit_logreg(ds, 0.01)
     assert model.w[0] == 0.0
     assert np.isfinite(model.score(ds.features)).all()
+
+
+def test_logreg_constant_column_is_inert():
+    # 0.1 is not exactly representable: the column's std comes out near 1e-17, not 0.
+    x = np.random.default_rng(0).normal(size=60)
+    features = np.column_stack([np.full(60, 0.1), x])
+    ds = from_rows(features, (x > 0.8).astype(int))
+    mean, scale = standardize_stats(features)
+    assert (mean[0], scale[0]) == (0.1, 1.0)
+    for params in default_grid(Family.LOGREG):
+        model = fit_logreg(ds, params["lam"])
+        assert model.w[0] == 0.0
+        rows = np.array([[0.1, 0.5], [0.2, 0.5], [-7.0, 0.5]])
+        assert np.unique(model.score(rows)).size == 1
+
+
+def correlated_problem(n, d, seed, constant_column=False):
+    """Standardized features sharing a common factor, so the first steps overshoot and backtrack."""
+    rng = np.random.default_rng(seed)
+    features = 2.0 * rng.normal(size=(n, 1)) + rng.normal(size=(n, d))
+    if constant_column:
+        features[:, 1] = 3.0
+    y = (features[:, 0] + features[:, 2] + rng.normal(size=n) > 3.0).astype(np.float64)
+    mean, scale = standardize_stats(features)
+    return (features - mean) / scale, y
+
+
+@pytest.mark.parametrize(
+    "n, d, lam, max_iter, constant_column",
+    [
+        (200, 6, 0.0, 5000, False),
+        (300, 9, 1e-4, 5000, False),
+        (400, 12, 1e-2, 5000, False),
+        (250, 8, 10.0, 5000, False),
+        (350, 10, 1e-4, 50, False),
+        (220, 7, 1e-3, 0, False),
+        (260, 8, 1e-3, 5000, True),
+    ],
+)
+def test_solve_l1_logreg_matches_ista_oracle_bitwise(n, d, lam, max_iter, constant_column):
+    X, y = correlated_problem(n, d, seed=n + d, constant_column=constant_column)
+    w, b, history = solve_l1_logreg(X, y, lam, max_iter)
+    w_ref, b_ref, history_ref = ista(X, y, lam, max_iter)
+    assert w.tobytes() == w_ref.tobytes()
+    assert np.float64(b).tobytes() == np.float64(b_ref).tobytes()
+    assert np.array(history).tobytes() == np.array(history_ref).tobytes()
+    if max_iter == 50:
+        assert len(history) == 51
+
+
+def special_margins():
+    magnitudes = [0.0, 1e-300, 36.0, 709.0, 745.0, 1e308]
+    random = np.random.default_rng(5).normal(0.0, 20.0, size=500)
+    return np.concatenate([magnitudes, np.negative(magnitudes), random])
+
+
+def test_sigmoid_matches_masked_oracle_bitwise():
+    z = special_margins()
+    assert _sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+
+
+def test_logreg_score_matches_masked_oracle_bitwise():
+    z = special_margins()
+    identity = LogRegScorer(w=np.array([1.0]), b=0.0, mean=np.zeros(1), scale=np.ones(1), params={})
+    assert identity.score(z[:, None]).tobytes() == masked_sigmoid(z[:, None] @ np.array([1.0]) + 0.0).tobytes()
+    ds = blobs(40, 15, gap=1.5, d=3, seed=4)
+    model = fit_logreg(ds, 1e-3)
+    X = np.random.default_rng(6).normal(0.0, 4.0, size=(200, 3))
+    expected = masked_sigmoid((X - model.mean) / model.scale @ model.w + model.b)
+    assert model.score(X).tobytes() == expected.tobytes()
+
+
+def test_solve_l1_logreg_hook_contract():
+    # The benchmark's tracer counts solves, iterations (len(history) - 1) and
+    # capped solves (iterations == max_iter) from positional calls like this one.
+    X, y = correlated_problem(200, 6, seed=1)
+    result = solve_l1_logreg(X, y, 1e-4, 7)
+    assert isinstance(result, tuple) and len(result) == 3
+    assert len(result[2]) - 1 == 7
 
 
 def test_logreg_scores_monotone_in_linear_predictor():
