@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -355,10 +357,10 @@ def test_logreg_constant_column_is_inert():
     ds = from_rows(features, (x > 0.8).astype(int))
     mean, scale = standardize_stats(features)
     assert (mean[0], scale[0]) == (0.1, 1.0)
+    rows = np.array([[0.1, 0.5], [0.2, 0.5], [-7.0, 0.5]])
     for params in default_grid(Family.LOGREG):
         model = fit_logreg(ds, params["lam"])
         assert model.w[0] == 0.0
-        rows = np.array([[0.1, 0.5], [0.2, 0.5], [-7.0, 0.5]])
         assert np.unique(model.score(rows)).size == 1
 
 
@@ -421,6 +423,7 @@ def test_logreg_score_matches_masked_oracle_bitwise():
 def test_solve_l1_logreg_hook_contract():
     # The benchmark's tracer counts solves, iterations (len(history) - 1) and
     # capped solves (iterations == max_iter) from positional calls like this one.
+    assert list(inspect.signature(solve_l1_logreg).parameters) == ["X", "y", "lam", "max_iter", "tol"]
     X, y = correlated_problem(200, 6, seed=1)
     result = solve_l1_logreg(X, y, 1e-4, 7)
     assert isinstance(result, tuple) and len(result) == 3
