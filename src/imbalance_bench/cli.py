@@ -189,6 +189,8 @@ def _fixed_spec(method: Method, multiplier: float | None, smote_k: int) -> Resam
 
 
 def cmd_resample(args) -> int:
+    if args.smote_k < 1:
+        raise UsageError(f"--k must be at least 1, got {args.smote_k}")
     method = Method(args.method)
     spec = _fixed_spec(method, args.multiplier, args.smote_k)
     dataset = load_csv(args.input, relabel=args.relabel)
@@ -220,6 +222,16 @@ def _report_payload(report) -> dict:
     }
 
 
+def _check_counts(args) -> None:
+    """--folds, --tuning-folds and --smote-k, as usage errors before any spec is built."""
+    if args.folds < 2:
+        raise UsageError(f"--folds must be at least 2, got {args.folds}")
+    if args.tuning_folds < 2:
+        raise UsageError(f"--tuning-folds must be at least 2, got {args.tuning_folds}")
+    if args.smote_k < 1:
+        raise UsageError(f"--smote-k must be at least 1, got {args.smote_k}")
+
+
 def cmd_evaluate(args) -> int:
     method = Method(args.method)
     strategy = args.strategy
@@ -239,8 +251,7 @@ def cmd_evaluate(args) -> int:
         raise UsageError(f"strategy {strategy} requires a resampling method")
     if strategy != "fixed" and fixed_m is not None:
         raise UsageError(f"--multiplier is meaningless with strategy {strategy}")
-    if args.folds < 2:
-        raise UsageError(f"--folds must be at least 2, got {args.folds}")
+    _check_counts(args)
 
     dataset = load_csv(args.input, relabel=args.relabel)
     model = ModelSpec(family=Family(args.model), tuning_folds=args.tuning_folds, seed=args.seed)
@@ -271,6 +282,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    _check_counts(args)
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     model_names = [name.strip() for name in args.models.split(",") if name.strip()]
     if not model_names:
         raise UsageError("--models must name at least one model family")
@@ -287,10 +301,6 @@ def cmd_benchmark(args) -> int:
             parse_cell(cell)
     except ConfigError as exc:
         raise UsageError(str(exc)) from None
-    if args.folds < 2:
-        raise UsageError(f"--folds must be at least 2, got {args.folds}")
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
 
     pool = load_pool(args.pool)
     result = run_benchmark(

@@ -8,6 +8,7 @@ import numpy as np
 
 from imbalance_bench import fit_with_params, pr_auc
 from imbalance_bench.classifiers import _simplicity_key
+from imbalance_bench.datasets import feature_matrix
 
 
 def full_search(spec, pairs):
@@ -110,3 +111,15 @@ def ista(X, y, lam, max_iter=5000, tol=1e-8):
             break
         loss, grad_w, grad_b = _smooth_loss_and_gradient(w, b, X, y)
     return w, b, history
+
+
+def knn_loop_score(scorer, X):
+    """KnnScorer.score one query row at a time, with a full stable sort of its distances."""
+    X = feature_matrix(X, scorer.n_features)
+    out = np.empty(X.shape[0])
+    for i, row in enumerate(X):
+        diff = scorer.train_features - row
+        dist = np.einsum("ij,ij->i", diff, diff)
+        nearest = np.argsort(dist, kind="stable")[: scorer.k]
+        out[i] = scorer.train_labels[nearest].mean()
+    return out

@@ -21,10 +21,11 @@ from imbalance_bench import (
     stratified_kfold,
 )
 from imbalance_bench.classifiers import simplest_params
+from imbalance_bench.classifiers import knn
 from imbalance_bench.classifiers.knn import fit_knn
 from imbalance_bench.classifiers.logreg import LogRegScorer, _sigmoid, fit_logreg, solve_l1_logreg, standardize_stats
 from imbalance_bench.classifiers.tree import _exact_cost, _precedes, fit_tree
-from oracles import brute_force_best_split, fraction_cost, full_search, ista, masked_sigmoid
+from oracles import brute_force_best_split, fraction_cost, full_search, ista, knn_loop_score, masked_sigmoid
 from test_golden import ties_pool
 
 
@@ -243,6 +244,50 @@ def test_knn_matches_brute_force_oracle():
             )
             expected = np.mean([ds.labels[i] for _, i in pairs[: model.k]])
             assert got == expected
+
+
+def knn_problem(kind):
+    """(train, queries): continuous, integer-valued (ties at the k-th distance), repeated training rows,
+    or training rows that permute each other's coordinates, seen from queries with equal coordinates,
+    whose distances are equal in exact arithmetic and differ in the last bits by summation order.
+    """
+    rng = np.random.default_rng(23)
+    labels = rng.integers(0, 2, 120)
+    if kind == "normal":
+        return from_rows(rng.normal(size=(120, 5)), labels), rng.normal(size=(250, 5))
+    if kind == "permuted":
+        base = rng.normal(size=(6, 8))
+        features = np.array([row[rng.permutation(8)] for row in base for _ in range(20)])
+        return from_rows(features, labels), rng.normal(size=(250, 1)) * np.ones(8)
+    if kind == "integer":
+        return from_rows(rng.integers(-2, 3, size=(120, 3)).astype(float), labels), rng.integers(
+            -2, 3, size=(250, 3)
+        ).astype(float)
+    base = rng.normal(size=(30, 4))
+    features = base[rng.integers(0, 30, 120)]
+    return from_rows(features, labels), np.vstack([features[:125], rng.normal(size=(125, 4))])
+
+
+def tie_straddles_kth(model, X):
+    """Whether some query row has equal k-th and (k+1)-th nearest distances."""
+    dist = np.sort(((X[:, None] - model.train_features[None]) ** 2).sum(axis=2), axis=1)
+    return bool((dist[:, model.k - 1] == dist[:, model.k]).any())
+
+
+@pytest.mark.parametrize("kind", ["normal", "integer", "duplicates", "permuted"])
+@pytest.mark.parametrize("rows_per_block", [None, 1, 7])
+def test_knn_score_matches_loop_oracle_bitwise(kind, rows_per_block, monkeypatch):
+    train, queries = knn_problem(kind)
+    if rows_per_block is not None:
+        monkeypatch.setattr(knn, "_BLOCK_ELEMENTS", rows_per_block * train.features.size)
+    assert len(queries) > knn._BLOCK_ELEMENTS // train.features.size  # more rows than one block
+    if kind in ("integer", "duplicates"):
+        assert tie_straddles_kth(fit_knn(train, 3), queries)
+    for k in (1, 3, 15, 500):
+        model = fit_knn(train, k)
+        assert model.k == min(k, train.size)
+        for X in (queries, queries[:1], queries[:0]):
+            assert model.score(X).tobytes() == knn_loop_score(model, X).tobytes()
 
 
 # ---------------------------------------------------------------------------

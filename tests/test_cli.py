@@ -258,6 +258,50 @@ def test_evaluate_strategy_none_with_method_is_usage_error(tmp_path, capsys):
     assert code == 1  # cvs needs an actual resampling method
 
 
+def test_resample_k_below_one_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    write_dataset(data)
+    code, _, err = run(
+        capsys, "resample", "--in", str(data), "--method", "smote",
+        "--multiplier", "2", "--k", "0", "--out", str(tmp_path / "o.csv"),
+    )
+    assert code == 1
+    assert "usage error: --k must be at least 1, got 0" in err
+    assert "Traceback" not in err
+
+
+BAD_COUNTS = [
+    (("--tuning-folds", "1"), "--tuning-folds must be at least 2, got 1"),
+    (("--smote-k", "0"), "--smote-k must be at least 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("flag, message", BAD_COUNTS, ids=["tuning-folds", "smote-k"])
+def test_evaluate_bad_counts_are_usage_errors(tmp_path, capsys, flag, message):
+    data = tmp_path / "d.csv"
+    write_dataset(data)
+    code, _, err = run(
+        capsys, "evaluate", "--in", str(data), "--model", "knn", "--method", "smote",
+        "--strategy", "eqs", "--folds", "2", *flag, "--out", str(tmp_path / "r.json"),
+    )
+    assert code == 1
+    assert f"usage error: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, message", BAD_COUNTS, ids=["tuning-folds", "smote-k"])
+def test_benchmark_bad_counts_are_usage_errors(tmp_path, capsys, flag, message):
+    pool = make_pool_dir(tmp_path, capsys)
+    code, _, err = run(
+        capsys, "benchmark", "--pool", str(pool), "--models", "knn",
+        "--cells", "none,smote+eqs", "--folds", "2", *flag, "--out", str(tmp_path / "r.csv"),
+    )
+    assert code == 1
+    assert f"usage error: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # benchmark and curves
 # ---------------------------------------------------------------------------
