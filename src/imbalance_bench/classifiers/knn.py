@@ -40,7 +40,7 @@ class KnnScorer:
         rows = max(1, _BLOCK_ELEMENTS // train.size)
         for start in range(0, X.shape[0], rows):
             diff = train[None] - X[start : start + rows, None]
-            # the same inner reduction per row as einsum("ij,ij->i"), so equal bits
+            # the inner reduction of einsum("ij,ij->i") on one row, so the bits do not depend on the block
             dist = np.einsum("bij,bij->bi", diff, diff)
             kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
             below = dist < kth

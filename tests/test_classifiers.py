@@ -20,8 +20,7 @@ from imbalance_bench import (
     select_hyperparams,
     stratified_kfold,
 )
-from imbalance_bench.classifiers import simplest_params
-from imbalance_bench.classifiers import knn
+from imbalance_bench.classifiers import knn, simplest_params
 from imbalance_bench.classifiers.knn import fit_knn
 from imbalance_bench.classifiers.logreg import LogRegScorer, _sigmoid, fit_logreg, solve_l1_logreg, standardize_stats
 from imbalance_bench.classifiers.tree import _exact_cost, _precedes, fit_tree

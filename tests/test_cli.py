@@ -289,19 +289,6 @@ def test_evaluate_bad_counts_are_usage_errors(tmp_path, capsys, flag, message):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag, message", BAD_COUNTS, ids=["tuning-folds", "smote-k"])
-def test_benchmark_bad_counts_are_usage_errors(tmp_path, capsys, flag, message):
-    pool = make_pool_dir(tmp_path, capsys)
-    code, _, err = run(
-        capsys, "benchmark", "--pool", str(pool), "--models", "knn",
-        "--cells", "none,smote+eqs", "--folds", "2", *flag, "--out", str(tmp_path / "r.csv"),
-    )
-    assert code == 1
-    assert f"usage error: {message}" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "r.csv").exists()
-
-
 # ---------------------------------------------------------------------------
 # benchmark and curves
 # ---------------------------------------------------------------------------
@@ -377,6 +364,19 @@ def test_benchmark_unknown_model_is_usage_error(tmp_path, capsys):
         "--out", str(tmp_path / "r.csv"),
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("flag, message", BAD_COUNTS, ids=["tuning-folds", "smote-k"])
+def test_benchmark_bad_counts_are_usage_errors(tmp_path, capsys, flag, message):
+    pool = make_pool_dir(tmp_path, capsys)
+    code, _, err = run(
+        capsys, "benchmark", "--pool", str(pool), "--models", "knn",
+        "--cells", "none,smote+eqs", "--folds", "2", *flag, "--out", str(tmp_path / "r.csv"),
+    )
+    assert code == 1
+    assert f"usage error: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_curves_missing_model_is_data_error(tmp_path, capsys):
