@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .classifiers import ModelSpec
-from .datasets import Dataset
+from .datasets import Dataset, _open_utf8
 from .errors import ConfigError, DataError, MismatchedGrids, NoComparableRows, ParseError
 from .evaluation import (
     DEFAULT_MULTIPLIER_GRID,
@@ -171,6 +171,8 @@ def dolan_more(
     """
     if methods is None:
         methods = matrix.methods
+    if not methods or len(set(methods)) != len(methods):
+        raise ConfigError(f"methods must be nonempty and distinct, got {list(methods)}")
     cols = []
     for name in methods:
         if name not in matrix.methods:
@@ -330,7 +332,7 @@ def _read_groups(path: Path) -> tuple[list[tuple[tuple[str, str, str, str], list
     must carry a multiplier, q_prc and chosen_hyperparams that parse and
     lie in range, so that nothing downstream half-trusts a row.
     """
-    with path.open(newline="", encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         lines = fh.readlines()
     torn = lines.pop() if lines and not lines[-1].endswith(("\n", "\r")) else ""
     if not lines and ",".join(CSV_HEADER).startswith(torn):

@@ -72,6 +72,15 @@ def _float_list(text: str) -> tuple[float, ...]:
         raise UsageError(f"expected comma-separated reals, got {text!r}") from None
 
 
+def _cell_list(text: str) -> list[str]:
+    cells = [cell.strip() for cell in text.split(",") if cell.strip()]
+    if not cells:
+        raise UsageError("--cells must name at least one cell")
+    if len(set(cells)) != len(cells):
+        raise UsageError(f"--cells names a cell twice: {text!r}")
+    return cells
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="imbalance-bench", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -295,7 +304,7 @@ def cmd_benchmark(args) -> int:
         except ValueError:
             raise UsageError(f"unknown model family {name!r}") from None
         models.append((name, ModelSpec(family=family, tuning_folds=args.tuning_folds, seed=args.seed)))
-    cells = tuple(cell.strip() for cell in args.cells.split(",") if cell.strip())
+    cells = tuple(_cell_list(args.cells))
     try:
         for cell in cells:
             parse_cell(cell)
@@ -314,12 +323,10 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_curves(args) -> int:
+    methods = None if args.cells is None else _cell_list(args.cells)
     matrices = read_results(args.results)
     if args.model not in matrices:
         raise ConfigError(f"model {args.model!r} not in {args.results} (has {sorted(matrices)})")
-    methods = None
-    if args.cells is not None:
-        methods = [cell.strip() for cell in args.cells.split(",") if cell.strip()]
     result = dolan_more(matrices[args.model], methods=methods)
     emit_curves(result.curves, args.format, args.out)
     _write_echo(args.out, args)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -95,6 +96,32 @@ def feature_matrix(X, n_features: int) -> np.ndarray:
     return X
 
 
+# float64 elements of one block's query-minus-reference differences (512 KiB)
+_BLOCK_ELEMENTS = 65_536
+
+
+def distance_blocks(reference: np.ndarray, queries: np.ndarray):
+    """Yield (start, dist), dist[b, j] the squared distance from queries[start + b] to reference[j].
+
+    Explicit subtraction, so equidistant points compare exactly equal; the inner reduction of
+    einsum("ij,ij->i") on one row, so the bits do not depend on the _BLOCK_ELEMENTS budget.
+    """
+    rows = max(1, _BLOCK_ELEMENTS // reference.size)
+    for start in range(0, queries.shape[0], rows):
+        diff = reference[None] - queries[start : start + rows, None]
+        yield start, np.einsum("bij,bij->bi", diff, diff)
+
+
+def k_nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """Mask of each row's k smallest entries; ties, at the k-th distance too, go to the lower column."""
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+    below = dist < kth
+    tied = dist == kth
+    # the lowest-index ties that fill the k nearest after those strictly below
+    room = k - np.count_nonzero(below, axis=1)[:, None]
+    return below | (tied & (np.cumsum(tied, axis=1) <= room))
+
+
 def imbalance_ratio(dataset: Dataset) -> float:
     """|C0| / |C1|; at least 1 under the minor-is-label-1 convention."""
     major, minor = dataset.class_counts()
@@ -108,6 +135,16 @@ def imbalance_ratio(dataset: Dataset) -> float:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _open_utf8(path: Path):
+    """path opened as UTF-8 text for csv; a byte that does not decode is a ParseError."""
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def load_csv(path: str | Path, label_column: str = LABEL_COLUMN, relabel: bool = False) -> Dataset:
     """Read a dataset from CSV (header row, float features, 0/1 label column).
 
@@ -116,7 +153,7 @@ def load_csv(path: str | Path, label_column: str = LABEL_COLUMN, relabel: bool =
     so the minor-is-label-1 convention can never be silently violated.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -336,10 +373,12 @@ def load_pool(path: str | Path) -> list[tuple[str, Dataset]]:
         for csv_path in sorted(path.glob("*.csv")):
             pairs.append((csv_path.stem, load_csv(csv_path)))
     else:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-        base = path.parent
-        for item in manifest["datasets"]:
-            pairs.append((Path(item["file"]).stem, load_csv(base / item["file"])))
+        try:
+            files = [Path(item["file"]) for item in json.loads(path.read_text(encoding="utf-8"))["datasets"]]
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON and bytes that are not UTF-8
+            raise ParseError(f"{path}: not a manifest whose 'datasets' each name a 'file' ({exc!r})") from None
+        for name in files:
+            pairs.append((name.stem, load_csv(path.parent / name)))
     if not pairs:
         raise ParseError(f"{path}: no datasets found")
     return pairs

@@ -15,7 +15,7 @@ class EmptyClass(DataError):
 
 
 class ParseError(DataError):
-    """Malformed CSV cell or inconsistent row length."""
+    """Malformed input file: a CSV cell or row length, a pool manifest, or bytes that are not UTF-8."""
 
 
 class LabelError(DataError):

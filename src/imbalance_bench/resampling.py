@@ -10,7 +10,12 @@ IR(r(S)) = IR(S) / m. Three methods are provided:
 
 All fractional element counts are rounded half to even. Added elements get
 fresh ``synth:<counter>`` ids and carry provenance records; removed
-elements are reported by id.
+elements are reported by id. ROS copies are appended through the same path
+as SMOTE's interpolations, recorded with lam 0. SMOTE's neighbour search is
+the kNN scorer's k-nearest selection (explicit-subtraction distances in
+bounded blocks, selection at the k-th distance, ties to the lower index)
+with the seed excluded; a seed's k neighbours are ordered by distance, then
+index.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .datasets import Dataset, imbalance_ratio
+from .datasets import Dataset, distance_blocks, imbalance_ratio, k_nearest
 from .errors import MinorityTooSmall, MultiplierOutOfRange, WouldEmptyMajority
 from .rng import substream, uniform_closed
 
@@ -96,6 +101,19 @@ def _next_synth_counter(dataset: Dataset) -> int:
     return highest + 1
 
 
+def _append(dataset: Dataset, rows: np.ndarray, seeds: np.ndarray, neighbors: np.ndarray, lams) -> ResampleResult:
+    """The dataset with minor rows appended under fresh synth ids, each recorded as (seed, neighbour, lam)."""
+    counter = _next_synth_counter(dataset)
+    new_ids = tuple(f"synth:{counter + i}" for i in range(len(rows)))
+    records = tuple(
+        SmoteRecord(synth_id=synth_id, seed_id=dataset.ids[s], neighbor_id=dataset.ids[n], lam=lam)
+        for synth_id, s, n, lam in zip(new_ids, seeds.tolist(), neighbors.tolist(), lams.tolist())
+    )
+    features = np.vstack([dataset.features, rows])
+    labels = np.concatenate([dataset.labels, np.ones(len(rows), dtype=np.int64)])
+    return ResampleResult(dataset=Dataset(features, labels, dataset.ids + new_ids), added=records)
+
+
 def ros(dataset: Dataset, m: float, seed: int) -> ResampleResult:
     """Append round((m-1)|C1|) uniform-with-replacement copies of minor elements."""
     _check_multiplier(dataset, m)
@@ -105,17 +123,7 @@ def ros(dataset: Dataset, m: float, seed: int) -> ResampleResult:
         return ResampleResult(dataset=dataset)
     rng = substream(seed, "ros")
     picks = minor_idx[rng.integers(0, len(minor_idx), size=n_new)]
-    counter = _next_synth_counter(dataset)
-    new_ids = tuple(f"synth:{counter + i}" for i in range(n_new))
-    records = tuple(
-        SmoteRecord(synth_id=new_ids[i], seed_id=dataset.ids[p], neighbor_id=dataset.ids[p], lam=0.0)
-        for i, p in enumerate(picks)
-    )
-    features = np.vstack([dataset.features, dataset.features[picks]])
-    labels = np.concatenate([dataset.labels, np.ones(n_new, dtype=np.int64)])
-    return ResampleResult(
-        dataset=Dataset(features, labels, dataset.ids + new_ids), added=records
-    )
+    return _append(dataset, dataset.features[picks], picks, picks, np.zeros(n_new))
 
 
 def rus(dataset: Dataset, m: float, seed: int) -> ResampleResult:
@@ -136,18 +144,16 @@ def rus(dataset: Dataset, m: float, seed: int) -> ResampleResult:
     return ResampleResult(dataset=dataset.subset(keep), removed_ids=removed_ids)
 
 
-def _minor_neighbors(features: np.ndarray, pos: int, k_eff: int) -> np.ndarray:
-    """Indices (into the minor block) of the k_eff nearest neighbours of row pos.
-
-    Euclidean distance, the point itself excluded, distance ties broken
-    toward the lower index. Distances are computed by explicit subtraction
-    so that equidistant points compare exactly equal.
-    """
-    diff = features - features[pos]
-    dist = np.einsum("ij,ij->i", diff, diff)
-    dist[pos] = np.inf
-    order = np.argsort(dist, kind="stable")
-    return order[:k_eff]
+def _minor_neighbors(minor: np.ndarray, seeds: np.ndarray, k_eff: int) -> np.ndarray:
+    """Row i: indices into minor of the k_eff nearest neighbours of minor[seeds[i]], itself excluded."""
+    out = np.empty((len(seeds), k_eff), dtype=np.intp)
+    for start, dist in distance_blocks(minor, minor[seeds]):
+        dist[np.arange(len(dist)), seeds[start : start + len(dist)]] = np.inf
+        # each row's k_eff selected indices, ascending, then stably sorted: by distance, then index
+        chosen = np.nonzero(k_nearest(dist, k_eff))[1].reshape(-1, k_eff)
+        order = np.argsort(np.take_along_axis(dist, chosen, axis=1), axis=1, kind="stable")
+        out[start : start + len(dist)] = np.take_along_axis(chosen, order, axis=1)
+    return out
 
 
 def smote(dataset: Dataset, m: float, seed: int, k: int = DEFAULT_SMOTE_K) -> ResampleResult:
@@ -168,36 +174,15 @@ def smote(dataset: Dataset, m: float, seed: int, k: int = DEFAULT_SMOTE_K) -> Re
     if n_new == 0:
         return ResampleResult(dataset=dataset)
     k_eff = min(k, len(minor_idx) - 1)
-    minor_features = dataset.features[minor_idx]
+    minor = dataset.features[minor_idx]
     rng = substream(seed, "smote")
     seed_pos = rng.integers(0, len(minor_idx), size=n_new)
     neighbor_slot = rng.integers(0, k_eff, size=n_new)
     lams = uniform_closed(rng, size=n_new)
-    neighbor_cache: dict[int, np.ndarray] = {}
-    counter = _next_synth_counter(dataset)
-    rows = np.empty((n_new, dataset.dim))
-    records = []
-    for i in range(n_new):
-        pos = int(seed_pos[i])
-        if pos not in neighbor_cache:
-            neighbor_cache[pos] = _minor_neighbors(minor_features, pos, k_eff)
-        npos = int(neighbor_cache[pos][neighbor_slot[i]])
-        lam = float(lams[i])
-        rows[i] = (1.0 - lam) * minor_features[pos] + lam * minor_features[npos]
-        records.append(
-            SmoteRecord(
-                synth_id=f"synth:{counter + i}",
-                seed_id=dataset.ids[minor_idx[pos]],
-                neighbor_id=dataset.ids[minor_idx[npos]],
-                lam=lam,
-            )
-        )
-    features = np.vstack([dataset.features, rows])
-    labels = np.concatenate([dataset.labels, np.ones(n_new, dtype=np.int64)])
-    new_ids = tuple(rec.synth_id for rec in records)
-    return ResampleResult(
-        dataset=Dataset(features, labels, dataset.ids + new_ids), added=tuple(records)
-    )
+    distinct, which = np.unique(seed_pos, return_inverse=True)
+    neighbor_pos = _minor_neighbors(minor, distinct, k_eff)[which, neighbor_slot]
+    rows = (1.0 - lams)[:, None] * minor[seed_pos] + lams[:, None] * minor[neighbor_pos]
+    return _append(dataset, rows, minor_idx[seed_pos], minor_idx[neighbor_pos], lams)
 
 
 def resample(dataset: Dataset, spec: ResamplingSpec, seed: int) -> ResampleResult:

@@ -8,7 +8,17 @@ import numpy as np
 
 from imbalance_bench import fit_with_params, pr_auc
 from imbalance_bench.classifiers import _simplicity_key
-from imbalance_bench.datasets import feature_matrix
+from imbalance_bench.datasets import Dataset, feature_matrix
+from imbalance_bench.errors import MinorityTooSmall
+from imbalance_bench.resampling import (
+    DEFAULT_SMOTE_K,
+    ResampleResult,
+    SmoteRecord,
+    _check_multiplier,
+    _next_synth_counter,
+    _round_half_even,
+)
+from imbalance_bench.rng import substream, uniform_closed
 
 
 def full_search(spec, pairs):
@@ -123,3 +133,91 @@ def knn_loop_score(scorer, X):
         nearest = np.argsort(dist, kind="stable")[: scorer.k]
         out[i] = scorer.train_labels[nearest].mean()
     return out
+
+
+# ROS and SMOTE with a record loop each; SMOTE with a loop over the synthetics, a neighbour cache and
+# a full stable sort of each seed's distances
+def ros(dataset: Dataset, m: float, seed: int) -> ResampleResult:
+    """Append round((m-1)|C1|) uniform-with-replacement copies of minor elements."""
+    _check_multiplier(dataset, m)
+    minor_idx = dataset.class_indices(1)
+    n_new = _round_half_even((m - 1.0) * len(minor_idx))
+    if n_new == 0:
+        return ResampleResult(dataset=dataset)
+    rng = substream(seed, "ros")
+    picks = minor_idx[rng.integers(0, len(minor_idx), size=n_new)]
+    counter = _next_synth_counter(dataset)
+    new_ids = tuple(f"synth:{counter + i}" for i in range(n_new))
+    records = tuple(
+        SmoteRecord(synth_id=new_ids[i], seed_id=dataset.ids[p], neighbor_id=dataset.ids[p], lam=0.0)
+        for i, p in enumerate(picks)
+    )
+    features = np.vstack([dataset.features, dataset.features[picks]])
+    labels = np.concatenate([dataset.labels, np.ones(n_new, dtype=np.int64)])
+    return ResampleResult(
+        dataset=Dataset(features, labels, dataset.ids + new_ids), added=records
+    )
+
+
+def _minor_neighbors(features: np.ndarray, pos: int, k_eff: int) -> np.ndarray:
+    """Indices (into the minor block) of the k_eff nearest neighbours of row pos.
+
+    Euclidean distance, the point itself excluded, distance ties broken
+    toward the lower index. Distances are computed by explicit subtraction
+    so that equidistant points compare exactly equal.
+    """
+    diff = features - features[pos]
+    dist = np.einsum("ij,ij->i", diff, diff)
+    dist[pos] = np.inf
+    order = np.argsort(dist, kind="stable")
+    return order[:k_eff]
+
+
+def smote(dataset: Dataset, m: float, seed: int, k: int = DEFAULT_SMOTE_K) -> ResampleResult:
+    """Append round((m-1)|C1|) synthetic minor elements by convex interpolation.
+
+    Each synthetic draws a seed element uniformly from the minor class,
+    then one of its min(k, |C1|-1) nearest minor neighbours uniformly, then
+    lam uniform on the closed interval [0, 1], and emits
+    (1-lam) seed + lam neighbour.
+    """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    _check_multiplier(dataset, m)
+    minor_idx = dataset.class_indices(1)
+    if len(minor_idx) < 2:
+        raise MinorityTooSmall(f"smote needs at least 2 minor elements, got {len(minor_idx)}")
+    n_new = _round_half_even((m - 1.0) * len(minor_idx))
+    if n_new == 0:
+        return ResampleResult(dataset=dataset)
+    k_eff = min(k, len(minor_idx) - 1)
+    minor_features = dataset.features[minor_idx]
+    rng = substream(seed, "smote")
+    seed_pos = rng.integers(0, len(minor_idx), size=n_new)
+    neighbor_slot = rng.integers(0, k_eff, size=n_new)
+    lams = uniform_closed(rng, size=n_new)
+    neighbor_cache: dict[int, np.ndarray] = {}
+    counter = _next_synth_counter(dataset)
+    rows = np.empty((n_new, dataset.dim))
+    records = []
+    for i in range(n_new):
+        pos = int(seed_pos[i])
+        if pos not in neighbor_cache:
+            neighbor_cache[pos] = _minor_neighbors(minor_features, pos, k_eff)
+        npos = int(neighbor_cache[pos][neighbor_slot[i]])
+        lam = float(lams[i])
+        rows[i] = (1.0 - lam) * minor_features[pos] + lam * minor_features[npos]
+        records.append(
+            SmoteRecord(
+                synth_id=f"synth:{counter + i}",
+                seed_id=dataset.ids[minor_idx[pos]],
+                neighbor_id=dataset.ids[minor_idx[npos]],
+                lam=lam,
+            )
+        )
+    features = np.vstack([dataset.features, rows])
+    labels = np.concatenate([dataset.labels, np.ones(n_new, dtype=np.int64)])
+    new_ids = tuple(rec.synth_id for rec in records)
+    return ResampleResult(
+        dataset=Dataset(features, labels, dataset.ids + new_ids), added=tuple(records)
+    )

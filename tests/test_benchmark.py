@@ -148,6 +148,12 @@ def test_dolan_more_method_subset_and_unknown():
         dolan_more(matrix, methods=["nope"])
 
 
+@pytest.mark.parametrize("methods", [[], ["m1", "m0", "m1"]], ids=["empty", "repeated"])
+def test_dolan_more_rejects_empty_or_repeated_methods(methods):
+    with pytest.raises(ConfigError, match="nonempty and distinct"):
+        dolan_more(full_matrix([[0.5, 0.25], [0.4, 0.4]]), methods=methods)
+
+
 def test_dolan_more_rejects_bad_betas():
     matrix = full_matrix([[0.5, 0.25]])
     with pytest.raises(ValueError):

@@ -20,7 +20,8 @@ from imbalance_bench import (
     select_hyperparams,
     stratified_kfold,
 )
-from imbalance_bench.classifiers import knn, simplest_params
+from imbalance_bench import datasets
+from imbalance_bench.classifiers import simplest_params
 from imbalance_bench.classifiers.knn import fit_knn
 from imbalance_bench.classifiers.logreg import LogRegScorer, _sigmoid, fit_logreg, solve_l1_logreg, standardize_stats
 from imbalance_bench.classifiers.tree import _exact_cost, _precedes, fit_tree
@@ -278,8 +279,8 @@ def tie_straddles_kth(model, X):
 def test_knn_score_matches_loop_oracle_bitwise(kind, rows_per_block, monkeypatch):
     train, queries = knn_problem(kind)
     if rows_per_block is not None:
-        monkeypatch.setattr(knn, "_BLOCK_ELEMENTS", rows_per_block * train.features.size)
-    assert len(queries) > knn._BLOCK_ELEMENTS // train.features.size  # more rows than one block
+        monkeypatch.setattr(datasets, "_BLOCK_ELEMENTS", rows_per_block * train.features.size)
+    assert len(queries) > datasets._BLOCK_ELEMENTS // train.features.size  # more rows than one block
     if kind in ("integer", "duplicates"):
         assert tie_straddles_kth(fit_knn(train, 3), queries)
     for k in (1, 3, 15, 500):

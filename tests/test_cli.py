@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from imbalance_bench import from_rows, load_csv, save_csv
+from imbalance_bench.benchmark import CSV_HEADER
 from imbalance_bench.cli import main
 
 
@@ -286,6 +287,80 @@ def test_evaluate_bad_counts_are_usage_errors(tmp_path, capsys, flag, message):
     )
     assert code == 1
     assert f"usage error: {message}" in err
+    assert "Traceback" not in err
+
+
+BAD_CELL_LISTS = [
+    (",", "--cells must name at least one cell"),
+    ("none,none", "--cells names a cell twice: 'none,none'"),
+]
+
+
+@pytest.mark.parametrize("cells, message", BAD_CELL_LISTS, ids=["empty", "repeated"])
+def test_benchmark_bad_cell_lists_are_usage_errors(tmp_path, capsys, cells, message):
+    pool = make_pool_dir(tmp_path, capsys)
+    code, _, err = run(
+        capsys, "benchmark", "--pool", str(pool), "--models", "knn",
+        "--cells", cells, "--folds", "2", "--out", str(tmp_path / "r.csv"),
+    )
+    assert code == 1
+    assert f"usage error: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("cells, message", BAD_CELL_LISTS, ids=["empty", "repeated"])
+def test_curves_bad_cell_lists_are_usage_errors(tmp_path, capsys, cells, message):
+    pool = make_pool_dir(tmp_path, capsys)
+    results = tmp_path / "results.csv"
+    args = ("--models", "knn", "--cells", "none,ros+eqs", "--folds", "2", "--out", str(results))
+    assert run(capsys, "benchmark", "--pool", str(pool), *args)[0] == 0
+    code, _, err = run(
+        capsys, "curves", "--results", str(results), "--model", "knn",
+        "--cells", cells, "--out", str(tmp_path / "c.csv"),
+    )
+    assert code == 1
+    assert f"usage error: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "c.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# malformed input files
+# ---------------------------------------------------------------------------
+
+RESULTS_HEADER = ",".join(CSV_HEADER).encode() + b"\n"
+NOT_MANIFEST = "not a manifest whose 'datasets' each name a 'file' "
+NOT_UTF8 = "not UTF-8 text ('utf-8' codec can't decode byte 0xff"
+MALFORMED = [
+    ("manifest.json", b'{"datasets": [', NOT_MANIFEST + "(JSONDecodeError"),
+    ("manifest.json", b'["dataset_0000.csv"]', NOT_MANIFEST + "(TypeError"),
+    ("manifest.json", b'{"seed": 1}', NOT_MANIFEST + "(KeyError('datasets')"),
+    ("manifest.json", b'{"datasets": [{"seed": 1}]}', NOT_MANIFEST + "(KeyError('file')"),
+    ("manifest.json", b'{"datasets": ["\xff"]}', NOT_MANIFEST + "(UnicodeDecodeError"),
+    ("d.csv", b"f0,label\n0.5,0\n\xff,1\n", NOT_UTF8),
+    ("results.csv", RESULTS_HEADER + b"d,knn,none,none,1.0,0,\xff\n", NOT_UTF8),
+]
+
+
+@pytest.mark.parametrize(
+    "name, content, message", MALFORMED,
+    ids=["manifest-not-json", "manifest-list", "manifest-no-datasets", "manifest-entry-no-file",
+         "manifest-not-utf8", "dataset-not-utf8", "results-not-utf8"],
+)
+def test_malformed_input_files_are_data_errors(tmp_path, capsys, name, content, message):
+    path = tmp_path / name
+    path.write_bytes(content)
+    out = str(tmp_path / "out.csv")
+    if name == "manifest.json":
+        argv = ("benchmark", "--pool", str(path), "--models", "knn", "--cells", "none", "--folds", "2", "--out", out)
+    elif name == "d.csv":
+        argv = ("resample", "--in", str(path), "--method", "ros", "--multiplier", "2", "--out", out)
+    else:
+        argv = ("curves", "--results", str(path), "--model", "knn", "--out", out)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"data error: {path}: {message}" in err
     assert "Traceback" not in err
 
 

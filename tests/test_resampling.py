@@ -20,6 +20,8 @@ from imbalance_bench import (
     rus,
     smote,
 )
+from imbalance_bench import datasets
+import oracles
 
 
 def make(n_major: int, n_minor: int, d: int = 2, seed: int = 0) -> Dataset:
@@ -373,3 +375,74 @@ def test_synth_counter_continues_after_existing_synthetics():
     twice = ros(once, 1.5, seed=1).dataset
     fresh = [ident for ident in twice.ids if ident not in once.ids]
     assert fresh == [f"synth:{8 + i}" for i in range(len(fresh))]
+
+
+# ---------------------------------------------------------------------------
+# Array-form ROS and SMOTE against the per-synthetic loop
+# ---------------------------------------------------------------------------
+
+
+def oracle_case(kind: str) -> Dataset:
+    """120 major rows and 30 minor rows of one kind.
+
+    normal: continuous; integer: values 0..2 with repeated rows, so
+    distances tie and some are 0; signed-zero: -0.0, 0.0 and 1.0; permuted:
+    rows with equal coordinates next to rows that permute each other's
+    coordinates, whose distances are equal in exact arithmetic and differ in
+    the last bits by summation order.
+    """
+    rng = np.random.default_rng(31)
+    if kind == "normal":
+        minor = rng.normal(size=(30, 4))
+    elif kind == "integer":
+        minor = rng.integers(0, 3, size=(30, 3)).astype(float)
+        minor[20:] = minor[:10]
+    elif kind == "signed-zero":
+        minor = rng.choice([-0.0, 0.0, 1.0], size=(30, 3))
+    else:
+        base = rng.normal(size=(3, 8))
+        permuted = [row[rng.permutation(8)] for row in base for _ in range(8)]
+        minor = np.vstack([rng.normal(size=(6, 1)) * np.ones(8), permuted])
+    major = rng.normal(5.0, 1.0, size=(120, minor.shape[1]))
+    return from_rows(np.vstack([major, minor]), np.array([0] * 120 + [1] * 30))
+
+
+def record_fields(result):
+    return [(r.synth_id, r.seed_id, r.neighbor_id, type(r.lam), np.float64(r.lam).tobytes()) for r in result.added]
+
+
+def assert_same_result(got, want):
+    assert got.dataset.features.tobytes() == want.dataset.features.tobytes()
+    assert got.dataset.labels.tobytes() == want.dataset.labels.tobytes()
+    assert got.dataset.ids == want.dataset.ids
+    assert record_fields(got) == record_fields(want)
+    assert got.removed_ids == want.removed_ids
+
+
+@pytest.mark.parametrize("kind", ["normal", "integer", "signed-zero", "permuted"])
+@pytest.mark.parametrize("rows_per_block", [None, 1, 3])
+def test_ros_and_smote_match_loop_oracle_bitwise(kind, rows_per_block, monkeypatch):
+    ds = oracle_case(kind)
+    if kind == "integer":
+        dist = ((ds.features[120:, None] - ds.features[None, 120:]) ** 2).sum(axis=2)
+        np.fill_diagonal(dist, np.inf)
+        dist.sort(axis=1)
+        assert (dist[:, 0] == 0.0).any() and (dist[:, 4] == dist[:, 5]).any()  # zero distances, ties at k = 5
+
+    def both(new, old, data, *args):
+        if rows_per_block is not None:
+            monkeypatch.setattr(datasets, "_BLOCK_ELEMENTS", rows_per_block * data.dim * data.class_counts()[1])
+        got = new(data, *args)
+        assert_same_result(got, old(data, *args))
+        return got
+
+    ir = imbalance_ratio(ds)
+    for seed in (0, 1):
+        for m in (1.0 + 1.0 / 30, 2.5, ir):  # one synthetic, some, and up to balance
+            both(ros, oracles.ros, ds, m, seed)
+            for k in (1, 5, 40):  # 40 is more than |C1| - 1
+                both(smote, oracles.smote, ds, m, seed, k)
+        # chained, so the synth counter starts above 0
+        grown = both(ros, oracles.ros, ds, 1.5, seed).dataset
+        grown = both(smote, oracles.smote, grown, 1.5, seed, 5).dataset
+        both(smote, oracles.smote, grown, 1.3, seed, 5)
