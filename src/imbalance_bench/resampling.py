@@ -101,7 +101,7 @@ def _next_synth_counter(dataset: Dataset) -> int:
     return highest + 1
 
 
-def _append(dataset: Dataset, rows: np.ndarray, seeds: np.ndarray, neighbors: np.ndarray, lams) -> ResampleResult:
+def _append(dataset: Dataset, rows: np.ndarray, seeds: np.ndarray, neighbors: np.ndarray, lams: np.ndarray) -> ResampleResult:
     """The dataset with minor rows appended under fresh synth ids, each recorded as (seed, neighbour, lam)."""
     counter = _next_synth_counter(dataset)
     new_ids = tuple(f"synth:{counter + i}" for i in range(len(rows)))
