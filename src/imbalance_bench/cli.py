@@ -65,20 +65,23 @@ def _float_range(text: str) -> tuple[float, float]:
         raise UsageError(f"expected LO:HI real range, got {text!r}") from None
 
 
-def _float_list(text: str) -> tuple[float, ...]:
+def _multiplier_grid(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in text.split(","))
+        grid = tuple(float(part) for part in text.split(","))
     except ValueError:
         raise UsageError(f"expected comma-separated reals, got {text!r}") from None
+    if len(set(grid)) != len(grid):
+        raise UsageError(f"a multiplier grid must not repeat a point, got {text!r}")
+    return grid
 
 
-def _cell_list(text: str) -> list[str]:
-    cells = [cell.strip() for cell in text.split(",") if cell.strip()]
-    if not cells:
-        raise UsageError("--cells must name at least one cell")
-    if len(set(cells)) != len(cells):
-        raise UsageError(f"--cells names a cell twice: {text!r}")
-    return cells
+def _name_list(text: str, option: str, what: str) -> list[str]:
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names:
+        raise UsageError(f"{option} must name at least one {what}")
+    if len(set(names)) != len(names):
+        raise UsageError(f"{option} names a {what} twice: {text!r}")
+    return names
 
 
 def build_parser() -> _Parser:
@@ -118,7 +121,7 @@ def build_parser() -> _Parser:
     p.add_argument("--smote-k", type=int, default=DEFAULT_SMOTE_K)
     p.add_argument("--tuning-folds", type=int, default=3)
     p.add_argument("--cvs-mode", choices=["oracle", "nested"], default="oracle")
-    p.add_argument("--cvs-grid", type=_float_list, default=DEFAULT_MULTIPLIER_GRID, metavar="M1,M2,...")
+    p.add_argument("--cvs-grid", type=_multiplier_grid, default=DEFAULT_MULTIPLIER_GRID, metavar="M1,M2,...")
     p.add_argument("--relabel", action="store_true")
     p.add_argument("--out", type=Path, required=True, help="output JSON")
     p.set_defaults(func=cmd_evaluate)
@@ -132,7 +135,7 @@ def build_parser() -> _Parser:
     p.add_argument("--smote-k", type=int, default=DEFAULT_SMOTE_K)
     p.add_argument("--tuning-folds", type=int, default=3)
     p.add_argument("--cvs-mode", choices=["oracle", "nested"], default="oracle")
-    p.add_argument("--multiplier-grid", type=_float_list, default=DEFAULT_MULTIPLIER_GRID, metavar="M1,M2,...")
+    p.add_argument("--multiplier-grid", type=_multiplier_grid, default=DEFAULT_MULTIPLIER_GRID, metavar="M1,M2,...")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--resume", action="store_true", help="reuse complete cells from an existing results CSV")
     p.add_argument("--out", type=Path, required=True, help="output results CSV")
@@ -278,6 +281,7 @@ def cmd_evaluate(args) -> int:
         payload["mode"] = result.mode
         payload["best_multiplier"] = result.best_multiplier
         payload["table"] = [[m, None if q != q else q] for m, q in result.table]
+        payload["pruned"] = list(result.pruned)
     payload["model"] = args.model
     payload["method"] = method.value
     payload["strategy"] = strategy
@@ -294,17 +298,14 @@ def cmd_benchmark(args) -> int:
     _check_counts(args)
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    model_names = [name.strip() for name in args.models.split(",") if name.strip()]
-    if not model_names:
-        raise UsageError("--models must name at least one model family")
     models = []
-    for name in model_names:
+    for name in _name_list(args.models, "--models", "model family"):
         try:
             family = Family(name)
         except ValueError:
             raise UsageError(f"unknown model family {name!r}") from None
         models.append((name, ModelSpec(family=family, tuning_folds=args.tuning_folds, seed=args.seed)))
-    cells = tuple(_cell_list(args.cells))
+    cells = tuple(_name_list(args.cells, "--cells", "cell"))
     try:
         for cell in cells:
             parse_cell(cell)
@@ -323,7 +324,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    methods = None if args.cells is None else _cell_list(args.cells)
+    methods = None if args.cells is None else _name_list(args.cells, "--cells", "cell")
     matrices = read_results(args.results)
     if args.model not in matrices:
         raise ConfigError(f"model {args.model!r} not in {args.results} (has {sorted(matrices)})")

@@ -17,20 +17,25 @@ Two strategies pick the resampling multiplier:
 * EqS equalizes classes, m = IR of the training fold;
 * CVS searches a grid for the m maximizing cross-validated quality,
   either on the full protocol (oracle mode) or per outer fold on the
-  training portion only (nested mode).
+  training portion only (nested mode). Both stop a grid point as soon as
+  its fold scores show it cannot beat the best point so far, which never
+  changes the pick.
+
+cv_quality and the CVS scan share one fold loop, ``_cv_folds``, which
+yields one fold's outcome at a time.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 import numpy as np
 
 from .classifiers import ModelSpec, TrainedScorer, fit_with_params, select_hyperparams, simplest_params
 from .datasets import Dataset, imbalance_ratio, stratified_kfold
-from .errors import EmptyClass, EmptyGrid, MinorityTooSmall, MultiplierOutOfRange, WouldEmptyMajority
+from .errors import ConfigError, EmptyClass, EmptyGrid, MinorityTooSmall, MultiplierOutOfRange, WouldEmptyMajority
 from .metrics import pr_auc, pr_curve
 from .resampling import DEFAULT_SMOTE_K, Method, ResamplingSpec, resample
 from .rng import derive_seed
@@ -132,31 +137,29 @@ def fit(spec: ModelSpec, train: Dataset) -> TrainedScorer:
     return fit_with_params(spec.family, params, train)
 
 
-def cv_quality(
+class _Fold(NamedTuple):
+    """One fold's outcome, the per-fold fields of a CVReport."""
+
+    score: float
+    params: dict
+    train_size: int
+    multiplier: float
+    method: str
+    degraded: bool
+    train_ids: tuple[str, ...]
+    test_ids: tuple[str, ...]
+
+
+def _cv_folds(
     dataset: Dataset,
     spec: Union[ResamplingSpec, Strategy],
     model: ModelSpec,
-    folds: int = 10,
-    seed: int = 0,
-) -> CVReport:
-    """Mean PR-AUC over stratified folds with in-fold resampling.
-
-    spec is either a fixed ResamplingSpec or a strategy called per fold
-    with the fold's training set. Per fold: resample the training portion,
-    tune hyperparameters by inner CV on the un-resampled training portion
-    (inner training splits resampled, inner validation splits not), refit
-    on the resampled training portion, score the untouched test portion.
-    """
+    folds: int,
+    seed: int,
+) -> Iterator[_Fold]:
+    """cv_quality's folds, one at a time; a caller that stops early runs no further fold."""
     strategy: Strategy = spec if callable(spec) else (lambda train, fold: spec)
     split = stratified_kfold(dataset, folds, derive_seed(seed, "folds"))
-    scores = []
-    params_per_fold = []
-    sizes = []
-    multipliers = []
-    methods = []
-    train_ids = []
-    test_ids = []
-    degraded = False
     for fold, (train_idx, test_idx) in enumerate(split):
         train = dataset.subset(train_idx)
         test = dataset.subset(test_idx)
@@ -175,27 +178,51 @@ def cv_quality(
                 inner_train, inner_spec, derive_seed(seed, "tune-resample", fold, inner_fold)
             ).dataset
 
-        params, fold_degraded = _tune(model, train, derive_seed(seed, "tune-folds", fold), prepare)
-        degraded = degraded or fold_degraded
+        params, degraded = _tune(model, train, derive_seed(seed, "tune-folds", fold), prepare)
         scorer = fit_with_params(model.family, params, resampled)
-        scores.append(pr_auc(scorer.score(test.features), test.labels))
-        params_per_fold.append(params)
-        sizes.append(resampled.size)
-        multipliers.append(float(fold_spec.multiplier))
-        methods.append(fold_spec.method.value)
-        train_ids.append(resampled.ids)
-        test_ids.append(test.ids)
+        yield _Fold(
+            score=pr_auc(scorer.score(test.features), test.labels),
+            params=params,
+            train_size=resampled.size,
+            multiplier=float(fold_spec.multiplier),
+            method=fold_spec.method.value,
+            degraded=degraded,
+            train_ids=resampled.ids,
+            test_ids=test.ids,
+        )
+
+
+def _report(outcomes: list[_Fold]) -> CVReport:
+    scores = [o.score for o in outcomes]
     return CVReport(
         fold_scores=tuple(scores),
         qcv=float(np.mean(scores)),
-        fold_params=tuple(params_per_fold),
-        fold_train_sizes=tuple(sizes),
-        fold_multipliers=tuple(multipliers),
-        fold_methods=tuple(methods),
-        degraded=degraded,
-        fold_train_ids=tuple(train_ids),
-        fold_test_ids=tuple(test_ids),
+        fold_params=tuple(o.params for o in outcomes),
+        fold_train_sizes=tuple(o.train_size for o in outcomes),
+        fold_multipliers=tuple(o.multiplier for o in outcomes),
+        fold_methods=tuple(o.method for o in outcomes),
+        degraded=any(o.degraded for o in outcomes),
+        fold_train_ids=tuple(o.train_ids for o in outcomes),
+        fold_test_ids=tuple(o.test_ids for o in outcomes),
     )
+
+
+def cv_quality(
+    dataset: Dataset,
+    spec: Union[ResamplingSpec, Strategy],
+    model: ModelSpec,
+    folds: int = 10,
+    seed: int = 0,
+) -> CVReport:
+    """Mean PR-AUC over stratified folds with in-fold resampling.
+
+    spec is either a fixed ResamplingSpec or a strategy called per fold
+    with the fold's training set. Per fold: resample the training portion,
+    tune hyperparameters by inner CV on the un-resampled training portion
+    (inner training splits resampled, inner validation splits not), refit
+    on the resampled training portion, score the untouched test portion.
+    """
+    return _report(list(_cv_folds(dataset, spec, model, folds, seed)))
 
 
 def select_multiplier_eqs(train: Dataset) -> float:
@@ -223,16 +250,20 @@ def eqs_strategy(method: Method, smote_k: int = DEFAULT_SMOTE_K) -> Strategy:
 class CvsResult:
     """Outcome of a CV-search for the multiplier.
 
-    In oracle mode best_multiplier is the grid argmax and table holds one
-    (m, Q^CV) row per effective grid point (NaN marks grid points that
-    failed on some fold). In nested mode the per-fold choices are in
-    report.fold_multipliers and table is empty.
+    In oracle mode best_multiplier is the grid argmax, table holds one
+    (m, Q^CV) row per effective grid point scanned to its last fold, in
+    ascending m (NaN marks grid points that failed on some fold), and
+    pruned lists the grid points whose fold scores showed they could not
+    win before their last fold ran. Every effective grid point is in
+    exactly one of table and pruned. In nested mode the per-fold choices
+    are in report.fold_multipliers and table and pruned are empty.
     """
 
     mode: str
     best_multiplier: float | None
     qcv: float
     table: tuple[tuple[float, float], ...]
+    pruned: tuple[float, ...]
     report: CVReport
 
 
@@ -275,34 +306,57 @@ def select_multiplier_cvs(
     argmax (ties toward smaller m) together with the per-m table. Nested
     mode re-runs the search per outer fold on the training portion only
     (inner 3-fold CV), so the reported Q^CV is free of selection bias.
+
+    Both modes scan the grid in ascending m and stop a grid point after
+    any fold whose scores so far, with 1.0 for each fold still to run,
+    average to at most the best Q^CV found so far. That bound is the real
+    mean's float operations on an array of the same length, and every fold
+    score is at most 1.0, so it is never below the point's Q^CV; since
+    only a strictly higher Q^CV replaces the best, the pick and its report
+    are those of the full scan. A grid that repeats a point raises
+    ConfigError before any fold runs.
     """
     method = Method(method)
     if method is Method.NONE:
         raise ValueError("cvs needs an actual resampling method, not none")
     if mode not in ("oracle", "nested"):
         raise ValueError(f"mode must be oracle or nested, got {mode!r}")
+    points = [float(m) for m in grid]
+    if len(set(points)) != len(points):
+        raise ConfigError(f"multiplier grid repeats a point: {points}")
 
-    def scan(data: Dataset, scan_folds: int, *labels) -> tuple[list[tuple[float, float]], dict]:
-        """(m, Q^CV) per effective grid point, NaN where infeasible, and the reports."""
-        table, reports = [], {}
-        for m in _effective_grid(grid, imbalance_ratio(data)):
+    def scan(data: Dataset, scan_folds: int, *labels) -> tuple[list[tuple[float, float]], list[float], dict]:
+        """(m, Q^CV) per completed grid point, NaN where infeasible; the pruned m; the reports."""
+        table, pruned, reports, best_q = [], [], {}, -np.inf
+        for m in _effective_grid(points, imbalance_ratio(data)):
             spec = ResamplingSpec(method, m, smote_k)
+            done = []
             try:
-                reports[m] = cv_quality(data, spec, model, scan_folds, derive_seed(seed, *labels, repr(m)))
+                for outcome in _cv_folds(data, spec, model, scan_folds, derive_seed(seed, *labels, repr(m))):
+                    done.append(outcome)
+                    rest = scan_folds - len(done)
+                    if rest and np.mean([o.score for o in done] + [1.0] * rest) <= best_q:
+                        break
             except _INFEASIBLE:
                 table.append((m, float("nan")))
                 continue
+            if len(done) < scan_folds:
+                pruned.append(m)
+                continue
+            reports[m] = _report(done)
             table.append((m, reports[m].qcv))
-        return table, reports
+            best_q = max(best_q, reports[m].qcv)
+        return table, pruned, reports
 
     if mode == "oracle":
-        table, reports = scan(dataset, folds, "cvs")
+        table, pruned, reports = scan(dataset, folds, "cvs")
         best_m, best_q = _argmax_smallest(table)
         return CvsResult(
             mode="oracle",
             best_multiplier=best_m,
             qcv=best_q,
             table=tuple(table),
+            pruned=tuple(pruned),
             report=reports[best_m],
         )
 
@@ -312,5 +366,5 @@ def select_multiplier_cvs(
 
     report = cv_quality(dataset, nested_pick, model, folds, seed)
     return CvsResult(
-        mode="nested", best_multiplier=None, qcv=report.qcv, table=(), report=report
+        mode="nested", best_multiplier=None, qcv=report.qcv, table=(), pruned=(), report=report
     )

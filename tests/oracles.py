@@ -8,17 +8,29 @@ import numpy as np
 
 from imbalance_bench import fit_with_params, pr_auc
 from imbalance_bench.classifiers import _simplicity_key
-from imbalance_bench.datasets import Dataset, feature_matrix
-from imbalance_bench.errors import MinorityTooSmall
+from imbalance_bench.datasets import Dataset, feature_matrix, imbalance_ratio, stratified_kfold
+from imbalance_bench.errors import MinorityTooSmall, MultiplierOutOfRange
+from imbalance_bench.evaluation import (
+    _INFEASIBLE,
+    DEFAULT_MULTIPLIER_GRID,
+    CVReport,
+    _argmax_smallest,
+    _clamped,
+    _effective_grid,
+    _tune,
+)
 from imbalance_bench.resampling import (
     DEFAULT_SMOTE_K,
+    Method,
     ResampleResult,
+    ResamplingSpec,
     SmoteRecord,
     _check_multiplier,
     _next_synth_counter,
     _round_half_even,
+    resample,
 )
-from imbalance_bench.rng import substream, uniform_closed
+from imbalance_bench.rng import derive_seed, substream, uniform_closed
 
 
 def full_search(spec, pairs):
@@ -221,3 +233,89 @@ def smote(dataset: Dataset, m: float, seed: int, k: int = DEFAULT_SMOTE_K) -> Re
     return ResampleResult(
         dataset=Dataset(features, labels, dataset.ids + new_ids), added=tuple(records)
     )
+
+
+# cv_quality with its fold loop inline, and select_multiplier_cvs scanning every fold of every grid point
+def cv_quality(dataset, spec, model, folds=10, seed=0) -> CVReport:
+    """Mean PR-AUC over stratified folds with in-fold resampling."""
+    strategy = spec if callable(spec) else (lambda train, fold: spec)
+    split = stratified_kfold(dataset, folds, derive_seed(seed, "folds"))
+    scores = []
+    params_per_fold = []
+    sizes = []
+    multipliers = []
+    methods = []
+    train_ids = []
+    test_ids = []
+    degraded = False
+    for fold, (train_idx, test_idx) in enumerate(split):
+        train = dataset.subset(train_idx)
+        test = dataset.subset(test_idx)
+        fold_spec = strategy(train, fold)
+        if fold_spec.method is not Method.NONE:
+            cap = imbalance_ratio(train)
+            if fold_spec.multiplier > cap:
+                raise MultiplierOutOfRange(
+                    f"fold {fold}: multiplier {fold_spec.multiplier} exceeds training-fold IR {cap:.6g}"
+                )
+        resampled = resample(train, fold_spec, derive_seed(seed, "resample", fold)).dataset
+
+        def prepare(inner_fold, inner_train):
+            inner_spec = _clamped(fold_spec, imbalance_ratio(inner_train))
+            return resample(
+                inner_train, inner_spec, derive_seed(seed, "tune-resample", fold, inner_fold)
+            ).dataset
+
+        params, fold_degraded = _tune(model, train, derive_seed(seed, "tune-folds", fold), prepare)
+        degraded = degraded or fold_degraded
+        scorer = fit_with_params(model.family, params, resampled)
+        scores.append(pr_auc(scorer.score(test.features), test.labels))
+        params_per_fold.append(params)
+        sizes.append(resampled.size)
+        multipliers.append(float(fold_spec.multiplier))
+        methods.append(fold_spec.method.value)
+        train_ids.append(resampled.ids)
+        test_ids.append(test.ids)
+    return CVReport(
+        fold_scores=tuple(scores),
+        qcv=float(np.mean(scores)),
+        fold_params=tuple(params_per_fold),
+        fold_train_sizes=tuple(sizes),
+        fold_multipliers=tuple(multipliers),
+        fold_methods=tuple(methods),
+        degraded=degraded,
+        fold_train_ids=tuple(train_ids),
+        fold_test_ids=tuple(test_ids),
+    )
+
+
+def select_multiplier_cvs(
+    dataset, method, model, grid=DEFAULT_MULTIPLIER_GRID, folds=10, seed=0, mode="oracle",
+    smote_k=DEFAULT_SMOTE_K,
+):
+    """(best m or None, Q^CV, (m, Q^CV) for every effective grid point with NaN where infeasible, report)."""
+    method = Method(method)
+
+    def scan(data, scan_folds, *labels):
+        table, reports = [], {}
+        for m in _effective_grid(grid, imbalance_ratio(data)):
+            spec = ResamplingSpec(method, m, smote_k)
+            try:
+                reports[m] = cv_quality(data, spec, model, scan_folds, derive_seed(seed, *labels, repr(m)))
+            except _INFEASIBLE:
+                table.append((m, float("nan")))
+                continue
+            table.append((m, reports[m].qcv))
+        return table, reports
+
+    if mode == "oracle":
+        table, reports = scan(dataset, folds, "cvs")
+        best_m, best_q = _argmax_smallest(table)
+        return best_m, best_q, tuple(table), reports[best_m]
+
+    def nested_pick(train, fold):
+        best_m, _ = _argmax_smallest(scan(train, 3, "nested", fold)[0])
+        return ResamplingSpec(method, best_m, smote_k)
+
+    report = cv_quality(dataset, nested_pick, model, folds, seed)
+    return None, report.qcv, (), report

@@ -245,8 +245,10 @@ def test_evaluate_cvs_payload(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["strategy"] == "cvs"
     assert payload["mode"] == "oracle"
-    assert [m for m, _ in payload["table"]] == [1.5, 2.0, 3.0]
-    assert payload["best_multiplier"] in (1.5, 2.0, 3.0)
+    # 1.5 scores 1.0 on both folds, so 2 and 3 stop after their first fold
+    assert payload["table"] == [[1.5, 1.0]]
+    assert payload["pruned"] == [2.0, 3.0]
+    assert payload["best_multiplier"] == 1.5
 
 
 def test_evaluate_strategy_none_with_method_is_usage_error(tmp_path, capsys):
@@ -323,6 +325,37 @@ def test_curves_bad_cell_lists_are_usage_errors(tmp_path, capsys, cells, message
     assert f"usage error: {message}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "c.csv").exists()
+
+
+def test_benchmark_repeated_model_is_usage_error(tmp_path, capsys):
+    pool = make_pool_dir(tmp_path, capsys)
+    code, _, err = run(
+        capsys, "benchmark", "--pool", str(pool), "--models", "knn,knn",
+        "--cells", "none", "--folds", "2", "--out", str(tmp_path / "r.csv"),
+    )
+    assert code == 1
+    assert "usage error: --models names a model family twice: 'knn,knn'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["evaluate", "benchmark"])
+def test_repeated_multiplier_grid_point_is_usage_error(tmp_path, capsys, subcommand):
+    data_dir = tmp_path / "pool"
+    data_dir.mkdir()
+    write_dataset(data_dir / "dataset_0000.csv")
+    if subcommand == "evaluate":
+        args = ("evaluate", "--in", str(data_dir / "dataset_0000.csv"), "--model", "knn",
+                "--method", "ros", "--strategy", "cvs", "--cvs-grid", "2,2,1.5")
+    else:
+        args = ("benchmark", "--pool", str(data_dir), "--models", "knn",
+                "--cells", "ros+cvs", "--multiplier-grid", "2,2,1.5")
+    out = tmp_path / "r.out"
+    code, _, err = run(capsys, *args, "--folds", "2", "--out", str(out))
+    assert code == 1
+    assert "usage error: a multiplier grid must not repeat a point, got '2,2,1.5'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

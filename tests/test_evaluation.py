@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from imbalance_bench import (
     CVReport,
+    ConfigError,
     CvsResult,
     DEFAULT_MULTIPLIER_GRID,
     EmptyGrid,
@@ -28,7 +31,11 @@ from imbalance_bench import (
     select_multiplier_cvs,
     select_multiplier_eqs,
 )
-from imbalance_bench.evaluation import _argmax_smallest
+from imbalance_bench import evaluation
+from imbalance_bench.evaluation import _argmax_smallest, _effective_grid
+
+import oracles
+from test_golden import ties_pool
 
 
 def make(n_major, n_minor, d=2, seed=0, gap=0.0):
@@ -398,3 +405,112 @@ def test_cvs_result_is_frozen():
     assert isinstance(result, CvsResult)
     with pytest.raises(AttributeError):
         result.qcv = 0.0
+
+
+# ---------------------------------------------------------------------------
+# CVS branch-and-bound against the unpruned oracle
+# ---------------------------------------------------------------------------
+
+TUNED_KNN = ModelSpec(family=Family.KNN)
+TUNED_TREE = ModelSpec(family=Family.TREE)
+TIES = ties_pool()[0][1]
+
+# (dataset, method, model, grid, folds, seed, mode, whether the bound fires)
+CVS_CASES = {
+    "normals-oracle": (make(60, 15, d=3, seed=32, gap=1.5), Method.SMOTE, TUNED_KNN, (1.5, 2.0, 2.5, 3.0, 4.0), 5, 32, "oracle", True),
+    "normals-nested": (make(60, 15, d=3, seed=31, gap=2.5), Method.ROS, TUNED_TREE, (1.5, 2.0, 3.0), 5, 31, "nested", True),
+    # 3.0 is pruned, 4.0 runs into its infeasible fold
+    "ties-oracle": (TIES, Method.ROS, TUNED_TREE, (1.25, 2.0, 3.0, 4.0), 3, 11, "oracle", True),
+    "ties-nested": (TIES, Method.SMOTE, TUNED_KNN, (1.5, 2.0, 3.0), 3, 11, "nested", True),
+    "one-point": (make(40, 10, seed=24, gap=1.0), Method.RUS, TUNED_KNN, (2.0,), 3, 7, "oracle", False),
+    "never-fires": (make(30, 10, seed=12, gap=2.0), Method.ROS, FAST_KNN, DEFAULT_MULTIPLIER_GRID, 3, 1, "oracle", False),
+    # every score is 1.0, so 3.0 stops after fold 0, before fold 1 whose training IR is below 3
+    "infeasible-pruned": (make(30, 10, seed=25, gap=6.0), Method.ROS, FAST_KNN, (2.0, 3.0), 3, 0, "oracle", True),
+}
+
+
+def assert_reports_bitwise_equal(got, want):
+    # repr of a float is the shortest string that reads back to the same
+    # bits, so equal reprs mean bitwise-equal scores, multipliers and params
+    for field in dataclasses.fields(CVReport):
+        assert repr(getattr(got, field.name)) == repr(getattr(want, field.name)), field.name
+
+
+@pytest.fixture
+def refits(monkeypatch):
+    """Counts the per-fold refits of evaluation and of the oracles."""
+    count = {"n": 0}
+    original = evaluation.fit_with_params
+
+    def counting(*args, **kwargs):
+        count["n"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "fit_with_params", counting)
+    monkeypatch.setattr(oracles, "fit_with_params", counting)
+    return count
+
+
+@pytest.mark.parametrize("case", sorted(CVS_CASES))
+def test_cvs_scan_matches_unpruned_oracle_bitwise(case):
+    ds, method, model, grid, folds, seed, mode, fires = CVS_CASES[case]
+    result = select_multiplier_cvs(ds, method, model, grid=grid, folds=folds, seed=seed, mode=mode)
+    best_m, qcv, table, report = oracles.select_multiplier_cvs(
+        ds, method, model, grid=grid, folds=folds, seed=seed, mode=mode
+    )
+    assert result.mode == mode
+    assert result.best_multiplier == best_m
+    assert repr(result.qcv) == repr(qcv)
+    assert_reports_bitwise_equal(result.report, report)
+    if mode == "nested":
+        assert result.table == () and result.pruned == ()
+        return
+    assert bool(result.pruned) == fires
+    effective = _effective_grid(grid, imbalance_ratio(ds))
+    scanned = [m for m, _ in result.table]
+    assert scanned == sorted(scanned)
+    assert sorted(scanned + list(result.pruned)) == effective
+    full = dict(table)
+    for m, q in result.table:
+        assert repr(q) == repr(full[m])
+    for m in result.pruned:
+        assert np.isnan(full[m]) or full[m] <= qcv
+
+
+def test_cvs_infeasible_point_pruned_before_failing_fold():
+    ds, method, model, grid, folds, seed, mode, _ = CVS_CASES["infeasible-pruned"]
+    result = select_multiplier_cvs(ds, method, model, grid=grid, folds=folds, seed=seed, mode=mode)
+    _, _, table, _ = oracles.select_multiplier_cvs(ds, method, model, grid=grid, folds=folds, seed=seed)
+    assert np.isnan(dict(table)[3.0])
+    assert result.table == ((2.0, 1.0),)
+    assert result.pruned == (3.0,)
+
+
+@pytest.mark.parametrize("case", ["normals-oracle", "normals-nested", "ties-oracle", "ties-nested", "never-fires"])
+def test_cvs_bound_cuts_refits(refits, case):
+    ds, method, model, grid, folds, seed, mode, fires = CVS_CASES[case]
+    select_multiplier_cvs(ds, method, model, grid=grid, folds=folds, seed=seed, mode=mode)
+    pruned_scan, refits["n"] = refits["n"], 0
+    oracles.select_multiplier_cvs(ds, method, model, grid=grid, folds=folds, seed=seed, mode=mode)
+    assert pruned_scan > 0
+    if fires:
+        assert pruned_scan < refits["n"]
+    else:
+        assert pruned_scan == refits["n"]
+
+
+@pytest.mark.parametrize("mode", ["oracle", "nested"])
+def test_cvs_repeated_grid_point_is_config_error_before_any_fold(monkeypatch, mode):
+    def no_folds(*args, **kwargs):
+        raise AssertionError("a fold split ran")
+
+    monkeypatch.setattr(evaluation, "stratified_kfold", no_folds)
+    with pytest.raises(ConfigError, match="repeats a point"):
+        select_multiplier_cvs(make(30, 10), Method.ROS, FAST_KNN, grid=(2, 1.5, 2.0), folds=3, mode=mode)
+
+
+@pytest.mark.parametrize("spec", [ResamplingSpec(Method.SMOTE, 2.0), eqs_strategy(Method.RUS)], ids=["fixed", "eqs"])
+@pytest.mark.parametrize("ds", [make(60, 15, d=3, seed=33, gap=1.0), TIES], ids=["normals", "ties"])
+def test_cv_quality_matches_loop_oracle_bitwise(ds, spec):
+    got = cv_quality(ds, spec, TUNED_TREE, folds=3, seed=4)
+    assert_reports_bitwise_equal(got, oracles.cv_quality(ds, spec, TUNED_TREE, folds=3, seed=4))
