@@ -345,6 +345,7 @@ def test_cvs_oracle_table_covers_effective_grid():
     result = select_multiplier_cvs(ds, Method.ROS, FAST_KNN, folds=3, seed=1)
     assert result.mode == "oracle"
     assert [m for m, _ in result.table] == [1.25, 1.5, 2.0, 2.5, 3.0]
+    assert result.pruned == ()
     qs = [q for _, q in result.table if not np.isnan(q)]
     assert result.qcv == max(qs)
     winners = [m for m, q in result.table if q == result.qcv]
