@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .classifiers import ModelSpec
-from .datasets import Dataset, _open_utf8
+from .datasets import Dataset, _open_utf8, _write_csv
 from .errors import ConfigError, DataError, MismatchedGrids, NoComparableRows, ParseError
 from .evaluation import (
     DEFAULT_MULTIPLIER_GRID,
@@ -264,12 +264,8 @@ def emit_curves(curves: Sequence[DolanMoreCurve], fmt: str, path: str | Path) ->
     path = Path(path)
     betas = _shared_betas(curves)
     if fmt == "csv":
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["beta", "method", "p"])
-            for curve in curves:
-                for beta, p in zip(betas, curve.p):
-                    writer.writerow([repr(float(beta)), curve.method, repr(float(p))])
+        rows = [(repr(float(beta)), curve.method, repr(float(p))) for curve in curves for beta, p in zip(betas, curve.p)]
+        _write_csv(path, [("beta", "method", "p"), *rows])
     elif fmt == "svg":
         path.write_text(_render_svg(curves), encoding="utf-8")
     else:
@@ -403,7 +399,6 @@ class BenchmarkResult:
     csv_path: Path | None
     n_cells: int
     n_errors: int
-    reports: dict[tuple[str, str, str], CVReport] | None = None
 
 
 def run_benchmark(
@@ -418,13 +413,13 @@ def run_benchmark(
     grid=DEFAULT_MULTIPLIER_GRID,
     smote_k: int = DEFAULT_SMOTE_K,
     cvs_mode: str = "oracle",
-    keep_reports: bool = False,
 ) -> BenchmarkResult:
     """Evaluate every (dataset, model, cell) and assemble per-model matrices.
 
-    With out set, rows stream to the CSV as cells complete; with resume,
-    complete cells already in the file are trusted and skipped. jobs > 1
-    computes cells in a thread pool; output order stays canonical.
+    With out set, each cell's rows are appended to the CSV once the cell
+    completes; with resume, complete cells already in the file are trusted
+    and skipped. jobs > 1 computes cells in a thread pool; output order
+    stays canonical.
     """
     if not pool or not models or not cells:
         raise ConfigError("pool, models and cells must be nonempty")
@@ -439,7 +434,6 @@ def run_benchmark(
         raise ConfigError("duplicate (dataset, model, cell) combinations")
 
     cell_rows: dict[tuple[str, str, str], tuple[tuple[str, ...], ...]] = {}
-    reports: dict[tuple[str, str, str], CVReport] | None = {} if keep_reports else None
     out_path = Path(out) if out is not None else None
     reused_rows: list[tuple[str, ...]] = []
     start = 0
@@ -453,7 +447,7 @@ def run_benchmark(
 
     pending = work[start:]
 
-    def run_one(item) -> tuple[tuple[tuple[str, ...], ...], CVReport | None]:
+    def run_one(item) -> tuple[tuple[str, ...], ...]:
         dataset_id, dataset, model_name, model, cell = item
         method, strategy = parse_cell(cell)
         cell_seed = derive_seed(seed, dataset_id, model_name, cell)
@@ -464,8 +458,8 @@ def run_benchmark(
         except DataError as exc:
             tag = f"error:{type(exc).__name__}"
             log.warning("cell (%s, %s, %s) failed: %s", dataset_id, model_name, cell, exc)
-            return ((dataset_id, model_name, method.value, strategy, "", "", "", "", tag),), None
-        rows = tuple(
+            return ((dataset_id, model_name, method.value, strategy, "", "", "", "", tag),)
+        return tuple(
             (
                 dataset_id,
                 model_name,
@@ -479,43 +473,28 @@ def run_benchmark(
             )
             for f in range(folds)
         )
-        return rows, report
 
-    fh = writer = None
     if out_path is not None:
         # the reused rows go to a temporary file that then replaces the
         # results file, so a failure before that leaves the file as it was
         tmp_path = out_path.with_name(out_path.name + ".tmp")
         try:
-            with tmp_path.open("w", newline="", encoding="utf-8") as tmp:
-                writer = csv.writer(tmp, lineterminator="\n")
-                writer.writerow(CSV_HEADER)
-                writer.writerows(reused_rows)
+            _write_csv(tmp_path, [CSV_HEADER, *reused_rows])
             os.replace(tmp_path, out_path)
         finally:
             tmp_path.unlink(missing_ok=True)
-        fh = out_path.open("a", newline="", encoding="utf-8")
-        writer = csv.writer(fh, lineterminator="\n")
-    try:
-        if jobs > 1 and pending:
-            executor = ThreadPoolExecutor(max_workers=jobs)
-            results = executor.map(run_one, pending)
-        else:
-            executor = None
-            results = map(run_one, pending)
-        for item, (rows, report) in zip(pending, results):
-            key = (item[0], item[2], item[4])
-            cell_rows[key] = rows
-            if keep_reports and report is not None:
-                reports[key] = report
-            if writer is not None:
-                writer.writerows(rows)
-                fh.flush()
-        if executor is not None:
-            executor.shutdown()
-    finally:
-        if fh is not None:
-            fh.close()
+    if jobs > 1 and pending:
+        executor = ThreadPoolExecutor(max_workers=jobs)
+        results = executor.map(run_one, pending)
+    else:
+        executor = None
+        results = map(run_one, pending)
+    for item, rows in zip(pending, results):
+        cell_rows[(item[0], item[2], item[4])] = rows
+        if out_path is not None:
+            _write_csv(out_path, rows, mode="a")
+    if executor is not None:
+        executor.shutdown()
 
     matrices = _assemble_matrices(cell_rows)
     return BenchmarkResult(
@@ -523,7 +502,6 @@ def run_benchmark(
         csv_path=out_path,
         n_cells=len(work),
         n_errors=sum(len(matrix.errors) for matrix in matrices.values()),
-        reports=reports,
     )
 
 

@@ -17,8 +17,6 @@ but some cells failed with data errors.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import logging
 import sys
 from pathlib import Path
@@ -34,7 +32,16 @@ from .benchmark import (
     run_benchmark,
 )
 from .classifiers import Family, ModelSpec
-from .datasets import GaussianPoolConfig, generate_gaussian_pool, load_csv, load_pool, save_csv, write_pool
+from .datasets import (
+    GaussianPoolConfig,
+    _write_csv,
+    _write_json,
+    generate_gaussian_pool,
+    load_csv,
+    load_pool,
+    save_csv,
+    write_pool,
+)
 from .errors import ConfigError, DataError, UsageError
 from .evaluation import DEFAULT_MULTIPLIER_GRID
 from .resampling import DEFAULT_SMOTE_K, Method, ResamplingSpec, resample
@@ -93,10 +100,12 @@ def build_parser() -> _Parser:
     p.add_argument("--pool-size", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--d-range", type=_int_range, default=(6, 40), metavar="LO:HI")
-    p.add_argument("--size-range", type=_int_range, default=(200, 1000), metavar="LO:HI")
-    p.add_argument("--minor-fraction-range", type=_float_range, default=(0.05, 0.35), metavar="LO:HI")
-    p.add_argument("--components", type=_int_range, default=(1, 3), metavar="LO:HI")
+    p.add_argument("--d-range", type=_int_range, default=GaussianPoolConfig.d_range, metavar="LO:HI")
+    p.add_argument("--size-range", type=_int_range, default=GaussianPoolConfig.size_range, metavar="LO:HI")
+    p.add_argument(
+        "--minor-fraction-range", type=_float_range, default=GaussianPoolConfig.minor_fraction_range, metavar="LO:HI"
+    )
+    p.add_argument("--components", type=_int_range, default=GaussianPoolConfig.components_per_class, metavar="LO:HI")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("resample", help="resample one dataset CSV")
@@ -166,7 +175,7 @@ def _echo_config(args: argparse.Namespace) -> dict:
 def _write_echo(artifact: Path, args: argparse.Namespace) -> None:
     payload = {"version": __version__, "config": _echo_config(args)}
     target = artifact / "run.json" if artifact.is_dir() else artifact.with_name(artifact.name + ".run.json")
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(target, payload)
 
 
 def cmd_generate(args) -> int:
@@ -209,11 +218,8 @@ def cmd_resample(args) -> int:
     result = resample(dataset, spec, args.seed)
     save_csv(result.dataset, args.out)
     if args.provenance_out is not None:
-        with args.provenance_out.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["synth_id", "seed_id", "neighbor_id", "lambda"])
-            for rec in result.added:
-                writer.writerow([rec.synth_id, rec.seed_id, rec.neighbor_id, repr(rec.lam)])
+        rows = [(rec.synth_id, rec.seed_id, rec.neighbor_id, repr(rec.lam)) for rec in result.added]
+        _write_csv(args.provenance_out, [("synth_id", "seed_id", "neighbor_id", "lambda"), *rows])
     _write_echo(args.out, args)
     log.info(
         "%s -> %s: %d added, %d removed, %d total rows",
@@ -288,7 +294,7 @@ def cmd_evaluate(args) -> int:
     payload["folds"] = args.folds
     payload["seed"] = args.seed
 
-    args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(args.out, payload)
     _write_echo(args.out, args)
     log.info("qcv = %.6f -> %s", payload["qcv"], args.out)
     return 0

@@ -16,7 +16,8 @@ import csv
 import json
 import logging
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -145,7 +146,18 @@ def _open_utf8(path: Path):
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
 
 
-def load_csv(path: str | Path, label_column: str = LABEL_COLUMN, relabel: bool = False) -> Dataset:
+def _write_csv(path: Path, rows: Iterable[Sequence], mode: str = "w") -> None:
+    """Write (mode "w") or append (mode "a") rows to path as UTF-8 CSV, each line ended by LF alone."""
+    with path.open(mode, newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    """Write payload to path as UTF-8 JSON, indented by 2, keys sorted, with a final newline."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def load_csv(path: str | Path, relabel: bool = False) -> Dataset:
     """Read a dataset from CSV (header row, float features, 0/1 label column).
 
     If class 1 turns out to be the majority, the labels are flipped when
@@ -159,9 +171,9 @@ def load_csv(path: str | Path, label_column: str = LABEL_COLUMN, relabel: bool =
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
-        if label_column not in header:
-            raise ParseError(f"{path}: no '{label_column}' column in header")
-        label_pos = header.index(label_column)
+        if LABEL_COLUMN not in header:
+            raise ParseError(f"{path}: no '{LABEL_COLUMN}' column in header")
+        label_pos = header.index(LABEL_COLUMN)
         feature_pos = [i for i in range(len(header)) if i != label_pos]
         if not feature_pos:
             raise ParseError(f"{path}: no feature columns")
@@ -201,12 +213,9 @@ def load_csv(path: str | Path, label_column: str = LABEL_COLUMN, relabel: bool =
 
 def save_csv(dataset: Dataset, path: str | Path) -> None:
     """Write ``f0,...,f{d-1},label`` rows; floats round-trip exactly."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"f{j}" for j in range(dataset.dim)] + [LABEL_COLUMN])
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [str(int(label))])
+    header = [f"f{j}" for j in range(dataset.dim)] + [LABEL_COLUMN]
+    rows = ([repr(float(v)) for v in row] + [str(int(label))] for row, label in zip(dataset.features, dataset.labels))
+    _write_csv(Path(path), chain([header], rows))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +260,10 @@ def stratified_kfold(
 
 @dataclass(frozen=True)
 class GaussianPoolConfig:
-    """Ranges for the artificial dataset pool. Bounds are inclusive."""
+    """Ranges for the artificial dataset pool. Bounds are inclusive.
+
+    Each range field's default is also the widest range it admits.
+    """
 
     pool_size: int
     seed: int
@@ -263,20 +275,14 @@ class GaussianPoolConfig:
     def __post_init__(self) -> None:
         if self.pool_size < 1:
             raise ConfigError(f"pool_size must be positive, got {self.pool_size}")
-        for name, (lo, hi), outer in (
-            ("components_per_class", self.components_per_class, (1, 3)),
-            ("d_range", self.d_range, (6, 40)),
-            ("size_range", self.size_range, (200, 1000)),
-        ):
+        for f in fields(self):
+            if not isinstance(f.default, tuple):
+                continue
+            lo, hi = getattr(self, f.name)
             if lo > hi:
-                raise ConfigError(f"{name} is empty: {lo}..{hi}")
-            if lo < outer[0] or hi > outer[1]:
-                raise ConfigError(f"{name} must stay within {outer}, got {lo}..{hi}")
-        f_lo, f_hi = self.minor_fraction_range
-        if f_lo > f_hi:
-            raise ConfigError(f"minor_fraction_range is empty: {f_lo}..{f_hi}")
-        if f_lo < 0.05 or f_hi > 0.35:
-            raise ConfigError(f"minor_fraction_range must stay within (0.05, 0.35), got {f_lo}..{f_hi}")
+                raise ConfigError(f"{f.name} is empty: {lo}..{hi}")
+            if lo < f.default[0] or hi > f.default[1]:
+                raise ConfigError(f"{f.name} must stay within {f.default}, got {lo}..{hi}")
 
 
 def _sample_mixture(rng: np.random.Generator, n: int, d: int, max_components: int, min_components: int) -> np.ndarray:
@@ -359,7 +365,7 @@ def write_pool(entries: Iterable[PoolEntry], out_dir: str | Path, seed: int) -> 
             }
         )
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(manifest_path, manifest)
     return manifest_path
 
 

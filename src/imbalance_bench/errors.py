@@ -31,7 +31,12 @@ class TooFewElements(DataError):
 
 
 class ConfigError(DataError):
-    """Invalid generator configuration (empty or out-of-bounds ranges)."""
+    """An invalid setting.
+
+    Generator ranges, cells, strategies, multiplier grids that repeat a
+    point, models or methods the compared results lack, and empty or
+    duplicated benchmark combinations raise it.
+    """
 
 
 class MultiplierOutOfRange(DataError):

@@ -277,19 +277,6 @@ def _effective_grid(grid, cap: float) -> list[float]:
     return sorted(out)
 
 
-def _argmax_smallest(pairs: list[tuple[float, float]]) -> tuple[float, float]:
-    """(m, q) with maximal q; ties go to the smaller m. NaN rows lose."""
-    best = None
-    for m, q in sorted(pairs):
-        if np.isnan(q):
-            continue
-        if best is None or q > best[1]:
-            best = (m, q)
-    if best is None:
-        raise EmptyGrid("every effective grid point failed on some fold")
-    return best
-
-
 def select_multiplier_cvs(
     dataset: Dataset,
     method: Method,
@@ -303,18 +290,22 @@ def select_multiplier_cvs(
     """Pick the multiplier maximizing Q^CV over the grid capped at IR.
 
     Oracle mode evaluates the full protocol per grid point and returns the
-    argmax (ties toward smaller m) together with the per-m table. Nested
-    mode re-runs the search per outer fold on the training portion only
-    (inner 3-fold CV), so the reported Q^CV is free of selection bias.
+    pick together with the per-m table. Nested mode re-runs the search per
+    outer fold on the training portion only (inner 3-fold CV), so the
+    reported Q^CV is free of selection bias.
 
-    Both modes scan the grid in ascending m and stop a grid point after
-    any fold whose scores so far, with 1.0 for each fold still to run,
-    average to at most the best Q^CV found so far. That bound is the real
-    mean's float operations on an array of the same length, and every fold
-    score is at most 1.0, so it is never below the point's Q^CV; since
-    only a strictly higher Q^CV replaces the best, the pick and its report
-    are those of the full scan. A grid that repeats a point raises
-    ConfigError before any fold runs.
+    Both modes scan the grid in ascending m and keep one running best, the
+    completed grid point with the highest Q^CV so far. A completed point
+    replaces it only when its Q^CV is strictly higher, so ties go to the
+    smaller m. The scan stops a grid point after any fold whose scores so
+    far, with 1.0 for each fold still to run, average to at most the
+    running best's Q^CV. That bound is the real mean's float operations on
+    an array of the same length, and every fold score is at most 1.0, so
+    it is never below the point's Q^CV: a stopped point could not have
+    replaced the running best, and the pick and its report are those of
+    the full scan. A scan in which no grid point completes raises
+    EmptyGrid. A grid that repeats a point raises ConfigError before any
+    fold runs.
     """
     method = Method(method)
     if method is Method.NONE:
@@ -325,11 +316,12 @@ def select_multiplier_cvs(
     if len(set(points)) != len(points):
         raise ConfigError(f"multiplier grid repeats a point: {points}")
 
-    def scan(data: Dataset, scan_folds: int, *labels) -> tuple[list[tuple[float, float]], list[float], dict]:
-        """(m, Q^CV) per completed grid point, NaN where infeasible; the pruned m; the reports."""
-        table, pruned, reports, best_q = [], [], {}, -np.inf
+    def scan(data: Dataset, scan_folds: int, *labels) -> tuple[float, CVReport, list[tuple[float, float]], list[float]]:
+        """The pick (m, report); (m, Q^CV) per completed grid point, NaN where infeasible; the pruned m."""
+        table, pruned, best_m, best = [], [], None, None
         for m in _effective_grid(points, imbalance_ratio(data)):
             spec = ResamplingSpec(method, m, smote_k)
+            best_q = -np.inf if best is None else best.qcv
             done = []
             try:
                 for outcome in _cv_folds(data, spec, model, scan_folds, derive_seed(seed, *labels, repr(m))):
@@ -343,26 +335,27 @@ def select_multiplier_cvs(
             if len(done) < scan_folds:
                 pruned.append(m)
                 continue
-            reports[m] = _report(done)
-            table.append((m, reports[m].qcv))
-            best_q = max(best_q, reports[m].qcv)
-        return table, pruned, reports
+            report = _report(done)
+            table.append((m, report.qcv))
+            if report.qcv > best_q:
+                best_m, best = m, report
+        if best is None:
+            raise EmptyGrid("every effective grid point failed on some fold")
+        return best_m, best, table, pruned
 
     if mode == "oracle":
-        table, pruned, reports = scan(dataset, folds, "cvs")
-        best_m, best_q = _argmax_smallest(table)
+        best_m, best, table, pruned = scan(dataset, folds, "cvs")
         return CvsResult(
             mode="oracle",
             best_multiplier=best_m,
-            qcv=best_q,
+            qcv=best.qcv,
             table=tuple(table),
             pruned=tuple(pruned),
-            report=reports[best_m],
+            report=best,
         )
 
     def nested_pick(train: Dataset, fold: int) -> ResamplingSpec:
-        best_m, _ = _argmax_smallest(scan(train, 3, "nested", fold)[0])
-        return ResamplingSpec(method, best_m, smote_k)
+        return ResamplingSpec(method, scan(train, 3, "nested", fold)[0], smote_k)
 
     report = cv_quality(dataset, nested_pick, model, folds, seed)
     return CvsResult(

@@ -9,12 +9,11 @@ import numpy as np
 from imbalance_bench import fit_with_params, pr_auc
 from imbalance_bench.classifiers import _simplicity_key
 from imbalance_bench.datasets import Dataset, feature_matrix, imbalance_ratio, stratified_kfold
-from imbalance_bench.errors import MinorityTooSmall, MultiplierOutOfRange
+from imbalance_bench.errors import EmptyGrid, MinorityTooSmall, MultiplierOutOfRange
 from imbalance_bench.evaluation import (
     _INFEASIBLE,
     DEFAULT_MULTIPLIER_GRID,
     CVReport,
-    _argmax_smallest,
     _clamped,
     _effective_grid,
     _tune,
@@ -289,6 +288,15 @@ def cv_quality(dataset, spec, model, folds=10, seed=0) -> CVReport:
     )
 
 
+def argmax_smallest(pairs):
+    """(m, q) with maximal q over the rows whose q is not NaN; ties go to the smaller m."""
+    feasible = [(m, q) for m, q in pairs if not np.isnan(q)]
+    if not feasible:
+        raise EmptyGrid("every effective grid point failed on some fold")
+    best_q = max(q for _, q in feasible)
+    return min(m for m, q in feasible if q == best_q), best_q
+
+
 def select_multiplier_cvs(
     dataset, method, model, grid=DEFAULT_MULTIPLIER_GRID, folds=10, seed=0, mode="oracle",
     smote_k=DEFAULT_SMOTE_K,
@@ -310,11 +318,11 @@ def select_multiplier_cvs(
 
     if mode == "oracle":
         table, reports = scan(dataset, folds, "cvs")
-        best_m, best_q = _argmax_smallest(table)
+        best_m, best_q = argmax_smallest(table)
         return best_m, best_q, tuple(table), reports[best_m]
 
     def nested_pick(train, fold):
-        best_m, _ = _argmax_smallest(scan(train, 3, "nested", fold)[0])
+        best_m, _ = argmax_smallest(scan(train, 3, "nested", fold)[0])
         return ResamplingSpec(method, best_m, smote_k)
 
     report = cv_quality(dataset, nested_pick, model, folds, seed)

@@ -14,6 +14,8 @@ import pytest
 
 from imbalance_bench import (
     DEFAULT_CELLS,
+    DEFAULT_MULTIPLIER_GRID,
+    DEFAULT_SMOTE_K,
     Family,
     GaussianPoolConfig,
     Method,
@@ -23,15 +25,18 @@ from imbalance_bench import (
     from_rows,
     generate_gaussian_pool,
     imbalance_ratio,
+    parse_cell,
     pr_auc,
     resample,
     run_benchmark,
 )
+from imbalance_bench.benchmark import evaluate_strategy
 from imbalance_bench.classifiers.logreg import (
     logreg_objective_and_gradient,
     solve_l1_logreg,
     standardize_stats,
 )
+from imbalance_bench.rng import derive_seed
 
 
 def criterion(num, name):
@@ -239,13 +244,22 @@ def test_criterion_5_leakage_audit():
     )
     pool = [(f"dataset_{e.index:04d}", e.dataset) for e in generate_gaussian_pool(cfg)]
     model = ModelSpec(family=Family.KNN, grid=({"k": 5},))
-    result = run_benchmark(
-        pool, [("knn", model)], cells=DEFAULT_CELLS, folds=5, seed=3, keep_reports=True
-    )
+    result = run_benchmark(pool, [("knn", model)], cells=DEFAULT_CELLS, folds=5, seed=3)
     assert result.n_errors == 0
-    assert len(result.reports) == 20 * len(DEFAULT_CELLS)
+    matrix = result.matrices["knn"]
+    reports = {}
+    for row, (dataset_id, dataset) in enumerate(pool):
+        for col, cell in enumerate(DEFAULT_CELLS):
+            report, _ = evaluate_strategy(
+                dataset, model, *parse_cell(cell), 1.0, 5, derive_seed(3, dataset_id, "knn", cell),
+                DEFAULT_MULTIPLIER_GRID, DEFAULT_SMOTE_K, "oracle",
+            )
+            # the rebuilt report is the one behind the benchmark's matrix entry
+            assert report.qcv == matrix.values[row, col], (dataset_id, cell)
+            reports[dataset_id, cell] = report
+    assert len(reports) == 20 * len(DEFAULT_CELLS)
     synthetics_seen = 0
-    for key, report in result.reports.items():
+    for key, report in reports.items():
         for train_ids, test_ids in zip(report.fold_train_ids, report.fold_test_ids):
             assert not any(i.startswith("synth:") for i in test_ids), key
             assert len(set(test_ids)) == len(test_ids), key

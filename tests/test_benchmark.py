@@ -373,14 +373,6 @@ def test_run_benchmark_resume_rejects_reordered_file(tmp_path):
         run_benchmark(small_pool(), [("knn", FAST_KNN)], out=out, resume=True, **kwargs)
 
 
-def test_run_benchmark_keep_reports():
-    pool = small_pool()[:1]
-    result = run_benchmark(pool, [("knn", FAST_KNN)], cells=("none",), folds=2, keep_reports=True)
-    report = result.reports[("ds_a", "knn", "none")]
-    assert report.qcv == result.matrices["knn"].values[0, 0]
-    assert len(report.fold_scores) == 2
-
-
 def test_run_benchmark_validates_inputs():
     with pytest.raises(ConfigError):
         run_benchmark([], [("knn", FAST_KNN)])

@@ -136,11 +136,15 @@ def test_generate_deterministic(tmp_path, capsys):
 
 
 def test_generate_bad_range_is_usage_error(tmp_path, capsys):
-    code, _, _ = run(
-        capsys, "generate", "--pool-size", "1", "--out", str(tmp_path / "p"),
-        "--d-range", "50:60",  # outside the supported bounds
-    )
-    assert code == 1
+    for flag, text, message in (
+        ("--d-range", "50:60", "d_range must stay within (6, 40), got 50..60"),
+        ("--d-range", "6-40", "expected LO:HI integer range, got '6-40'"),
+        ("--minor-fraction-range", "0.1:x", "expected LO:HI real range, got '0.1:x'"),
+    ):
+        code, _, err = run(capsys, "generate", "--pool-size", "1", "--out", str(tmp_path / "p"), flag, text)
+        assert code == 1
+        assert f"usage error: {message}" in err
+    assert not (tmp_path / "p").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +201,17 @@ def test_evaluate_fixed_strategy_forms_agree(tmp_path, capsys):
     assert a["folds"] == 2
     assert len(a["fold_scores"]) == 2
     assert 0.0 <= a["qcv"] <= 1.0
+
+
+def test_evaluate_defaults_to_method_none_fixed(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    write_dataset(data)
+    out = tmp_path / "r.json"
+    code, _, _ = run(capsys, "evaluate", "--in", str(data), "--model", "knn", "--folds", "2", "--out", str(out))
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert (payload["method"], payload["strategy"], payload["multiplier"]) == ("none", "fixed", 1.0)
+    assert payload["fold_methods"] == ["none", "none"]
 
 
 def test_evaluate_conflicting_multiplier_forms(tmp_path, capsys):
@@ -273,13 +288,27 @@ def test_resample_k_below_one_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-BAD_COUNTS = [
-    (("--tuning-folds", "1"), "--tuning-folds must be at least 2, got 1"),
-    (("--smote-k", "0"), "--smote-k must be at least 1, got 0"),
-]
+BAD_COUNTS = {
+    "tuning-folds": (("--tuning-folds", "1"), "--tuning-folds must be at least 2, got 1"),
+    "smote-k": (("--smote-k", "0"), "--smote-k must be at least 1, got 0"),
+    "folds": (("--folds", "1"), "--folds must be at least 2, got 1"),
+}
+
+# evaluate's own usage errors; each flag overrides the test's --method smote --strategy eqs
+BAD_EVALUATE_FLAGS = {
+    "ros-without-multiplier": (("--method", "ros", "--strategy", "fixed"), "method ros requires --multiplier"),
+    "none-with-multiplier": (
+        ("--method", "none", "--strategy", "fixed", "--multiplier", "2"),
+        "method none takes no multiplier (or exactly 1)",
+    ),
+    "fixed-not-a-number": (("--strategy", "fixed:x"), "bad fixed multiplier in --strategy 'fixed:x'"),
+    "unknown-strategy": (("--strategy", "bogus"), "--strategy must be fixed[:<m>], eqs or cvs, got 'bogus'"),
+    "malformed-grid": (("--strategy", "cvs", "--cvs-grid", "2,x"), "expected comma-separated reals, got '2,x'"),
+}
 
 
-@pytest.mark.parametrize("flag, message", BAD_COUNTS, ids=["tuning-folds", "smote-k"])
+@pytest.mark.parametrize("flag, message", {**BAD_COUNTS, **BAD_EVALUATE_FLAGS}.values(),
+                         ids={**BAD_COUNTS, **BAD_EVALUATE_FLAGS}.keys())
 def test_evaluate_bad_counts_are_usage_errors(tmp_path, capsys, flag, message):
     data = tmp_path / "d.csv"
     write_dataset(data)
@@ -292,13 +321,18 @@ def test_evaluate_bad_counts_are_usage_errors(tmp_path, capsys, flag, message):
     assert "Traceback" not in err
 
 
-BAD_CELL_LISTS = [
-    (",", "--cells must name at least one cell"),
-    ("none,none", "--cells names a cell twice: 'none,none'"),
-]
+BAD_CELL_LISTS = {
+    "empty": (",", "--cells must name at least one cell"),
+    "repeated": ("none,none", "--cells names a cell twice: 'none,none'"),
+}
+# curves compares the cells a results file has, so an unknown cell is a data error there
+BAD_BENCHMARK_CELLS = {
+    **BAD_CELL_LISTS,
+    "unknown": ("bogus", "cell must be 'none' or '<method>+<eqs|cvs>', got 'bogus'"),
+}
 
 
-@pytest.mark.parametrize("cells, message", BAD_CELL_LISTS, ids=["empty", "repeated"])
+@pytest.mark.parametrize("cells, message", BAD_BENCHMARK_CELLS.values(), ids=BAD_BENCHMARK_CELLS.keys())
 def test_benchmark_bad_cell_lists_are_usage_errors(tmp_path, capsys, cells, message):
     pool = make_pool_dir(tmp_path, capsys)
     code, _, err = run(
@@ -311,7 +345,7 @@ def test_benchmark_bad_cell_lists_are_usage_errors(tmp_path, capsys, cells, mess
     assert not (tmp_path / "r.csv").exists()
 
 
-@pytest.mark.parametrize("cells, message", BAD_CELL_LISTS, ids=["empty", "repeated"])
+@pytest.mark.parametrize("cells, message", BAD_CELL_LISTS.values(), ids=BAD_CELL_LISTS.keys())
 def test_curves_bad_cell_lists_are_usage_errors(tmp_path, capsys, cells, message):
     pool = make_pool_dir(tmp_path, capsys)
     results = tmp_path / "results.csv"
@@ -474,7 +508,10 @@ def test_benchmark_unknown_model_is_usage_error(tmp_path, capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("flag, message", BAD_COUNTS, ids=["tuning-folds", "smote-k"])
+BAD_BENCHMARK_COUNTS = {**BAD_COUNTS, "jobs": (("--jobs", "0"), "--jobs must be at least 1, got 0")}
+
+
+@pytest.mark.parametrize("flag, message", BAD_BENCHMARK_COUNTS.values(), ids=BAD_BENCHMARK_COUNTS.keys())
 def test_benchmark_bad_counts_are_usage_errors(tmp_path, capsys, flag, message):
     pool = make_pool_dir(tmp_path, capsys)
     code, _, err = run(

@@ -32,7 +32,7 @@ from imbalance_bench import (
     select_multiplier_eqs,
 )
 from imbalance_bench import evaluation
-from imbalance_bench.evaluation import _argmax_smallest, _effective_grid
+from imbalance_bench.evaluation import _effective_grid
 
 import oracles
 from test_golden import ties_pool
@@ -324,20 +324,20 @@ def test_eqs_strategy_balanced_fold_degenerates_to_none():
 
 
 def test_argmax_smallest_prefers_higher_quality():
-    assert _argmax_smallest([(2.0, 0.5), (4.0, 0.7)]) == (4.0, 0.7)
+    assert oracles.argmax_smallest([(2.0, 0.5), (4.0, 0.7)]) == (4.0, 0.7)
 
 
 def test_argmax_smallest_ties_go_to_smaller_multiplier():
-    assert _argmax_smallest([(4.0, 0.7), (2.0, 0.7), (3.0, 0.7)]) == (2.0, 0.7)
+    assert oracles.argmax_smallest([(4.0, 0.7), (2.0, 0.7), (3.0, 0.7)]) == (2.0, 0.7)
 
 
 def test_argmax_smallest_skips_nan_rows():
-    assert _argmax_smallest([(2.0, float("nan")), (4.0, 0.3)]) == (4.0, 0.3)
+    assert oracles.argmax_smallest([(2.0, float("nan")), (4.0, 0.3)]) == (4.0, 0.3)
 
 
 def test_argmax_smallest_all_nan_is_empty_grid():
     with pytest.raises(EmptyGrid):
-        _argmax_smallest([(2.0, float("nan")), (4.0, float("nan"))])
+        oracles.argmax_smallest([(2.0, float("nan")), (4.0, float("nan"))])
 
 
 def test_cvs_oracle_table_covers_effective_grid():
@@ -371,6 +371,22 @@ def test_cvs_empty_grid_when_nearly_balanced():
     ds = make(11, 10, seed=14)  # IR = 1.1 sits below the smallest grid point
     with pytest.raises(EmptyGrid):
         select_multiplier_cvs(ds, Method.ROS, FAST_KNN, folds=2)
+
+
+# (dataset, grid, mode); each grid point fits the IR of the data it scans,
+# but a training fold of lower IR makes it infeasible on that fold
+ALL_INFEASIBLE = {
+    # 16/10 = 1.6; the first of 5 folds tests 4 majors and trains at 12/8 = 1.5
+    "oracle": (make(16, 10, seed=17), (1.6,), "oracle"),
+    # every outer training fold is 16/8 = 2; the third inner fold trains at 11/6
+    "nested": (make(20, 10, seed=18), (2.0,), "nested"),
+}
+
+
+@pytest.mark.parametrize("ds, grid, mode", ALL_INFEASIBLE.values(), ids=ALL_INFEASIBLE.keys())
+def test_cvs_every_point_infeasible_is_empty_grid(ds, grid, mode):
+    with pytest.raises(EmptyGrid, match="every effective grid point failed"):
+        select_multiplier_cvs(ds, Method.ROS, FAST_KNN, grid=grid, folds=5, mode=mode)
 
 
 def test_cvs_rejects_method_none():
