@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .classifiers import ModelSpec
-from .datasets import Dataset, _open_utf8, _write_csv
+from .datasets import Dataset, _frozen, _open_utf8, _write_csv
 from .errors import ConfigError, DataError, MismatchedGrids, NoComparableRows, ParseError
 from .evaluation import (
     DEFAULT_MULTIPLIER_GRID,
@@ -106,8 +106,8 @@ class QualityMatrix:
     errors: tuple[tuple[str, str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        mask = np.asarray(self.mask, dtype=bool)
+        values = _frozen(self.values, np.float64)
+        mask = _frozen(self.mask, bool)
         shape = (len(self.tasks), len(self.methods))
         if values.shape != shape or mask.shape != shape:
             raise ValueError(f"values and mask must have shape {shape}")
@@ -117,8 +117,6 @@ class QualityMatrix:
         for row, task in enumerate(self.tasks):
             if not mask[row].any():
                 log.warning("task %s has no successful cell", task)
-        values.setflags(write=False)
-        mask.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "tasks", tuple(self.tasks))
@@ -135,16 +133,14 @@ class DolanMoreCurve:
     p: np.ndarray
 
     def __post_init__(self) -> None:
-        betas = np.asarray(self.betas, dtype=np.float64)
-        p = np.asarray(self.p, dtype=np.float64)
+        betas = _frozen(self.betas, np.float64)
+        p = _frozen(self.p, np.float64)
         if betas.ndim != 1 or betas.shape != p.shape or len(betas) == 0:
             raise ValueError("betas and p must be equal-length nonempty vectors")
         if betas[0] < 1.0 or (np.diff(betas) < 0).any():
             raise ValueError("betas must be ascending and at least 1")
         if ((p < 0) | (p > 1)).any() or (np.diff(p) < -1e-15).any():
             raise ValueError("p must be non-decreasing within [0, 1]")
-        betas.setflags(write=False)
-        p.setflags(write=False)
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "p", p)
 

@@ -69,7 +69,11 @@ def _simplicity_key(family: Family, params: dict) -> tuple:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Model family plus its hyperparameter grid and tuning configuration."""
+    """Model family plus its hyperparameter grid and tuning configuration.
+
+    seed seeds only the inner folds of ``evaluation.fit``; cv_quality,
+    select_multiplier_cvs and run_benchmark take their own seed argument.
+    """
 
     family: Family
     grid: tuple[dict, ...] = ()

@@ -56,20 +56,32 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_range(text: str) -> tuple[int, int]:
-    try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
-    except ValueError:
-        raise UsageError(f"expected LO:HI integer range, got {text!r}") from None
+def _range(cast, kind: str):
+    """argparse type for a LO:HI pair of cast values; kind names them in the usage error."""
+
+    def parse(text: str) -> tuple:
+        try:
+            lo, hi = text.split(":")
+            return cast(lo), cast(hi)
+        except ValueError:
+            raise UsageError(f"expected LO:HI {kind} range, got {text!r}") from None
+
+    return parse
 
 
-def _float_range(text: str) -> tuple[float, float]:
-    try:
-        lo, hi = text.split(":")
-        return float(lo), float(hi)
-    except ValueError:
-        raise UsageError(f"expected LO:HI real range, got {text!r}") from None
+def _count(option: str, least: int):
+    """argparse type for an integer option; a value below least is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise UsageError(f"{option} must be at least {least}, got {value}")
+        return value
+
+    return parse
 
 
 def _multiplier_grid(text: str) -> tuple[float, ...]:
@@ -95,57 +107,54 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="imbalance-bench", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    # the cross-validation protocol flags that evaluate and benchmark share
+    protocol = _Parser(add_help=False)
+    protocol.add_argument("--folds", type=_count("--folds", 2), default=10)
+    protocol.add_argument("--seed", type=int, default=0)
+    protocol.add_argument("--smote-k", type=_count("--smote-k", 1), default=DEFAULT_SMOTE_K)
+    protocol.add_argument("--tuning-folds", type=_count("--tuning-folds", 2), default=3)
+    protocol.add_argument("--cvs-mode", choices=["oracle", "nested"], default="oracle")
 
     p = sub.add_parser("generate", help="generate a synthetic Gaussian-mixture dataset pool")
     p.add_argument("--pool-size", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--d-range", type=_int_range, default=GaussianPoolConfig.d_range, metavar="LO:HI")
-    p.add_argument("--size-range", type=_int_range, default=GaussianPoolConfig.size_range, metavar="LO:HI")
+    p.add_argument("--d-range", type=_range(int, "integer"), default=GaussianPoolConfig.d_range, metavar="LO:HI")
+    p.add_argument("--size-range", type=_range(int, "integer"), default=GaussianPoolConfig.size_range, metavar="LO:HI")
     p.add_argument(
-        "--minor-fraction-range", type=_float_range, default=GaussianPoolConfig.minor_fraction_range, metavar="LO:HI"
+        "--minor-fraction-range", type=_range(float, "real"), default=GaussianPoolConfig.minor_fraction_range, metavar="LO:HI"
     )
-    p.add_argument("--components", type=_int_range, default=GaussianPoolConfig.components_per_class, metavar="LO:HI")
+    p.add_argument("--components", type=_range(int, "integer"), default=GaussianPoolConfig.components_per_class, metavar="LO:HI")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("resample", help="resample one dataset CSV")
     p.add_argument("--in", dest="input", type=Path, required=True)
     p.add_argument("--method", choices=[m.value for m in Method], required=True)
     p.add_argument("--multiplier", type=float, default=None)
-    p.add_argument("--k", "--smote-k", dest="smote_k", type=int, default=DEFAULT_SMOTE_K)
+    p.add_argument("--k", "--smote-k", dest="smote_k", type=_count("--k", 1), default=DEFAULT_SMOTE_K)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--provenance-out", type=Path, default=None, help="sidecar CSV of added-element provenance")
     p.add_argument("--relabel", action="store_true", help="flip labels when class 1 is the majority")
     p.set_defaults(func=cmd_resample)
 
-    p = sub.add_parser("evaluate", help="cross-validated PR-AUC of one configuration")
+    p = sub.add_parser("evaluate", parents=[protocol], help="cross-validated PR-AUC of one configuration")
     p.add_argument("--in", dest="input", type=Path, required=True)
     p.add_argument("--model", choices=[f.value for f in Family], required=True)
     p.add_argument("--method", choices=[m.value for m in Method], default="none")
     p.add_argument("--strategy", default="fixed", help="fixed | fixed:<m> | eqs | cvs")
     p.add_argument("--multiplier", type=float, default=None)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--smote-k", type=int, default=DEFAULT_SMOTE_K)
-    p.add_argument("--tuning-folds", type=int, default=3)
-    p.add_argument("--cvs-mode", choices=["oracle", "nested"], default="oracle")
     p.add_argument("--cvs-grid", type=_multiplier_grid, default=DEFAULT_MULTIPLIER_GRID, metavar="M1,M2,...")
     p.add_argument("--relabel", action="store_true")
     p.add_argument("--out", type=Path, required=True, help="output JSON")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("benchmark", help="run the full experiment matrix")
+    p = sub.add_parser("benchmark", parents=[protocol], help="run the full experiment matrix")
     p.add_argument("--pool", type=Path, required=True, help="pool manifest.json or directory of CSVs")
     p.add_argument("--models", default="tree,knn,logreg", help="comma-separated model families")
     p.add_argument("--cells", default=",".join(DEFAULT_CELLS), help="comma-separated cells")
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--smote-k", type=int, default=DEFAULT_SMOTE_K)
-    p.add_argument("--tuning-folds", type=int, default=3)
-    p.add_argument("--cvs-mode", choices=["oracle", "nested"], default="oracle")
     p.add_argument("--multiplier-grid", type=_multiplier_grid, default=DEFAULT_MULTIPLIER_GRID, metavar="M1,M2,...")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_count("--jobs", 1), default=1)
     p.add_argument("--resume", action="store_true", help="reuse complete cells from an existing results CSV")
     p.add_argument("--out", type=Path, required=True, help="output results CSV")
     p.set_defaults(func=cmd_benchmark)
@@ -210,8 +219,6 @@ def _fixed_spec(method: Method, multiplier: float | None, smote_k: int) -> Resam
 
 
 def cmd_resample(args) -> int:
-    if args.smote_k < 1:
-        raise UsageError(f"--k must be at least 1, got {args.smote_k}")
     method = Method(args.method)
     spec = _fixed_spec(method, args.multiplier, args.smote_k)
     dataset = load_csv(args.input, relabel=args.relabel)
@@ -240,16 +247,6 @@ def _report_payload(report) -> dict:
     }
 
 
-def _check_counts(args) -> None:
-    """--folds, --tuning-folds and --smote-k, as usage errors before any spec is built."""
-    if args.folds < 2:
-        raise UsageError(f"--folds must be at least 2, got {args.folds}")
-    if args.tuning_folds < 2:
-        raise UsageError(f"--tuning-folds must be at least 2, got {args.tuning_folds}")
-    if args.smote_k < 1:
-        raise UsageError(f"--smote-k must be at least 1, got {args.smote_k}")
-
-
 def cmd_evaluate(args) -> int:
     method = Method(args.method)
     strategy = args.strategy
@@ -269,10 +266,9 @@ def cmd_evaluate(args) -> int:
         raise UsageError(f"strategy {strategy} requires a resampling method")
     if strategy != "fixed" and fixed_m is not None:
         raise UsageError(f"--multiplier is meaningless with strategy {strategy}")
-    _check_counts(args)
 
     dataset = load_csv(args.input, relabel=args.relabel)
-    model = ModelSpec(family=Family(args.model), tuning_folds=args.tuning_folds, seed=args.seed)
+    model = ModelSpec(family=Family(args.model), tuning_folds=args.tuning_folds)
     multiplier = 1.0
     if strategy == "fixed":
         multiplier = _fixed_spec(method, fixed_m, args.smote_k).multiplier
@@ -301,16 +297,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    _check_counts(args)
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     models = []
     for name in _name_list(args.models, "--models", "model family"):
         try:
             family = Family(name)
         except ValueError:
             raise UsageError(f"unknown model family {name!r}") from None
-        models.append((name, ModelSpec(family=family, tuning_folds=args.tuning_folds, seed=args.seed)))
+        models.append((name, ModelSpec(family=family, tuning_folds=args.tuning_folds)))
     cells = tuple(_name_list(args.cells, "--cells", "cell"))
     try:
         for cell in cells:

@@ -40,8 +40,8 @@ class Dataset:
     ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        features = _frozen(self.features, np.float64)
+        labels = _frozen(self.labels, np.int64)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "ids", tuple(self.ids))
@@ -57,8 +57,6 @@ class Dataset:
             raise ValueError("ids length does not match feature rows")
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("ids must be pairwise distinct")
-        features.setflags(write=False)
-        labels.setflags(write=False)
 
     @property
     def size(self) -> int:
@@ -134,6 +132,13 @@ def imbalance_ratio(dataset: Dataset) -> float:
 # ---------------------------------------------------------------------------
 # CSV interchange
 # ---------------------------------------------------------------------------
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only copy of values as dtype, so that no caller's array is frozen or can change it."""
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
 
 
 @contextmanager

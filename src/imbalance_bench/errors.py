@@ -47,10 +47,6 @@ class MinorityTooSmall(DataError):
     """SMOTE needs at least two minor-class elements."""
 
 
-class WouldEmptyMajority(DataError):
-    """Undersampling would remove every major-class element."""
-
-
 class DimensionMismatch(DataError):
     """Feature matrix width differs from the training dimension."""
 

@@ -35,8 +35,8 @@ import numpy as np
 
 from .classifiers import ModelSpec, TrainedScorer, fit_with_params, select_hyperparams, simplest_params
 from .datasets import Dataset, imbalance_ratio, stratified_kfold
-from .errors import ConfigError, EmptyClass, EmptyGrid, MinorityTooSmall, MultiplierOutOfRange, WouldEmptyMajority
-from .metrics import pr_auc, pr_curve
+from .errors import ConfigError, EmptyClass, EmptyGrid, MinorityTooSmall, MultiplierOutOfRange
+from .metrics import pr_auc
 from .resampling import DEFAULT_SMOTE_K, Method, ResamplingSpec, resample
 from .rng import derive_seed
 
@@ -49,7 +49,6 @@ __all__ = [
     "eqs_strategy",
     "fit",
     "pr_auc",
-    "pr_curve",
     "select_multiplier_eqs",
     "select_multiplier_cvs",
 ]
@@ -164,13 +163,10 @@ def _cv_folds(
         train = dataset.subset(train_idx)
         test = dataset.subset(test_idx)
         fold_spec = strategy(train, fold)
-        if fold_spec.method is not Method.NONE:
-            cap = imbalance_ratio(train)
-            if fold_spec.multiplier > cap:
-                raise MultiplierOutOfRange(
-                    f"fold {fold}: multiplier {fold_spec.multiplier} exceeds training-fold IR {cap:.6g}"
-                )
-        resampled = resample(train, fold_spec, derive_seed(seed, "resample", fold)).dataset
+        try:
+            resampled = resample(train, fold_spec, derive_seed(seed, "resample", fold)).dataset
+        except MultiplierOutOfRange as exc:
+            raise MultiplierOutOfRange(f"fold {fold}: {exc}") from None
 
         def prepare(inner_fold: int, inner_train: Dataset) -> Dataset:
             inner_spec = _clamped(fold_spec, imbalance_ratio(inner_train))
@@ -267,7 +263,7 @@ class CvsResult:
     report: CVReport
 
 
-_INFEASIBLE = (MultiplierOutOfRange, WouldEmptyMajority, MinorityTooSmall)
+_INFEASIBLE = (MultiplierOutOfRange, MinorityTooSmall)
 
 
 def _effective_grid(grid, cap: float) -> list[float]:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import _frozen
 from .errors import NoPositives
 
 
@@ -32,9 +33,7 @@ class PRCurve:
 
     def __post_init__(self) -> None:
         for name in ("thresholds", "recalls", "precisions"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(getattr(self, name), np.float64))
         if not (len(self.thresholds) == len(self.recalls) == len(self.precisions)):
             raise ValueError("curve arrays must have equal length")
         if len(self.recalls) == 0 or self.recalls[-1] != 1.0:

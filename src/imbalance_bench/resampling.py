@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .datasets import Dataset, distance_blocks, imbalance_ratio, k_nearest
-from .errors import MinorityTooSmall, MultiplierOutOfRange, WouldEmptyMajority
+from .errors import MinorityTooSmall, MultiplierOutOfRange
 from .rng import substream, uniform_closed
 
 DEFAULT_SMOTE_K = 5
@@ -84,13 +84,12 @@ def _round_half_even(x: float) -> int:
     return int(np.round(x))
 
 
-def _check_multiplier(dataset: Dataset, m: float) -> float:
+def _check_multiplier(dataset: Dataset, m: float) -> None:
     ratio = imbalance_ratio(dataset)
     if not 1.0 < m <= ratio:
         raise MultiplierOutOfRange(
             f"multiplier must lie in (1, IR(S)] = (1, {ratio:.6g}], got {m}"
         )
-    return ratio
 
 
 def _next_synth_counter(dataset: Dataset) -> int:
@@ -127,14 +126,10 @@ def ros(dataset: Dataset, m: float, seed: int) -> ResampleResult:
 
 
 def rus(dataset: Dataset, m: float, seed: int) -> ResampleResult:
-    """Drop a uniform random subset of the major class of size round(|C0|(m-1)/m)."""
+    """Drop a uniform random subset of the major class of size round(|C0|(m-1)/m), at most |C0|-|C1| as m <= IR."""
     _check_multiplier(dataset, m)
     major_idx = dataset.class_indices(0)
     n_drop = _round_half_even(len(major_idx) * (m - 1.0) / m)
-    if n_drop >= len(major_idx):
-        raise WouldEmptyMajority(
-            f"dropping {n_drop} of {len(major_idx)} major elements would empty the class"
-        )
     if n_drop == 0:
         return ResampleResult(dataset=dataset)
     rng = substream(seed, "rus")

@@ -171,6 +171,17 @@ def test_quality_matrix_validation():
     QualityMatrix(("a",), ("x",), np.array([[np.nan]]), np.array([[False]]))
 
 
+def test_quality_matrix_copies_the_callers_arrays():
+    values = np.array([[0.5, 0.25]])
+    mask = np.array([[True, False]])
+    matrix = QualityMatrix(("a",), ("x", "y"), values, mask)
+    values[0, 0] = 0.75  # the caller's arrays stay writable and cannot reach the matrix
+    mask[0, 1] = True
+    assert matrix.values[0, 0] == 0.5 and not matrix.mask[0, 1]
+    with pytest.raises(ValueError):
+        matrix.values[0, 0] = 0.0
+
+
 def test_dolan_more_curve_validation():
     with pytest.raises(ValueError):
         DolanMoreCurve(method="x", betas=np.array([2.0, 1.0]), p=np.array([0.5, 1.0]))

@@ -292,6 +292,7 @@ BAD_COUNTS = {
     "tuning-folds": (("--tuning-folds", "1"), "--tuning-folds must be at least 2, got 1"),
     "smote-k": (("--smote-k", "0"), "--smote-k must be at least 1, got 0"),
     "folds": (("--folds", "1"), "--folds must be at least 2, got 1"),
+    "folds-not-int": (("--folds", "x"), "argument --folds: invalid int value: 'x'"),
 }
 
 # evaluate's own usage errors; each flag overrides the test's --method smote --strategy eqs
@@ -407,13 +408,14 @@ MALFORMED = [
     ("manifest.json", b'{"datasets": ["\xff"]}', NOT_MANIFEST + "(UnicodeDecodeError"),
     ("d.csv", b"f0,label\n0.5,0\n\xff,1\n", NOT_UTF8),
     ("results.csv", RESULTS_HEADER + b"d,knn,none,none,1.0,0,\xff\n", NOT_UTF8),
+    ("results.csv", RESULTS_HEADER, "no result rows"),
 ]
 
 
 @pytest.mark.parametrize(
     "name, content, message", MALFORMED,
     ids=["manifest-not-json", "manifest-list", "manifest-no-datasets", "manifest-entry-no-file",
-         "manifest-not-utf8", "dataset-not-utf8", "results-not-utf8"],
+         "manifest-not-utf8", "dataset-not-utf8", "results-not-utf8", "results-header-only"],
 )
 def test_malformed_input_files_are_data_errors(tmp_path, capsys, name, content, message):
     path = tmp_path / name
@@ -539,26 +541,60 @@ def test_curves_missing_model_is_data_error(tmp_path, capsys):
     assert "data error" in err
 
 
-@pytest.mark.parametrize("q_prc", ["abc", "1.5"])
-def test_bad_q_prc_is_data_error_on_resume_and_curves(tmp_path, capsys, q_prc):
+def with_q_prc(lines, value):
+    fields = lines[1].split(",")
+    fields[6] = value
+    return [lines[0], ",".join(fields), *lines[2:]]
+
+
+# edits of a results file of 4 two-fold cell groups that --resume rejects, and its message
+OUT_OF_RANGE = "multiplier, q_prc or chosen_hyperparams out of range in row"
+BAD_RESULTS = {
+    "q_prc-abc": (lambda lines: with_q_prc(lines, "abc"), OUT_OF_RANGE),
+    "q_prc-1.5": (lambda lines: with_q_prc(lines, "1.5"), OUT_OF_RANGE),
+    "extra-group": (lambda lines: lines + lines[1:3], "has 5 cell groups, expected at most 4"),
+    "group-cut-mid-file": (
+        lambda lines: lines[:1] + lines[2:],  # fold 0 of the first group lost
+        "incomplete cell group ('dataset_0000', 'knn', 'none', 'none') in the middle of the file",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit, message", BAD_RESULTS.values(), ids=BAD_RESULTS.keys())
+def test_bad_results_are_data_errors_on_resume_and_curves(tmp_path, capsys, edit, message):
     pool = make_pool_dir(tmp_path, capsys)
     results = tmp_path / "results.csv"
     args = ("benchmark", "--pool", str(pool), "--models", "knn",
             "--cells", "none,ros+eqs", "--folds", "2", "--out", str(results))
     assert run(capsys, *args)[0] == 0
-    lines = results.read_text().splitlines(keepends=True)
-    fields = lines[1].split(",")
-    fields[6] = q_prc
-    lines[1] = ",".join(fields)
-    results.write_text("".join(lines))
+    results.write_text("".join(edit(results.read_text().splitlines(keepends=True))))
     corrupted = results.read_bytes()
 
     code, _, err = run(capsys, *args, "--resume")
     assert code == 2
-    assert "data error" in err
+    assert f"data error: {results}: {message}" in err
     assert results.read_bytes() == corrupted
     code, _, err = run(
         capsys, "curves", "--results", str(results), "--model", "knn", "--out", str(tmp_path / "c.csv"),
     )
     assert code == 2
     assert "data error" in err
+
+
+def test_curves_drop_a_dataset_that_lacks_a_cell(tmp_path, capsys):
+    pool = make_pool_dir(tmp_path, capsys)
+    results = tmp_path / "results.csv"
+    assert run(
+        capsys, "benchmark", "--pool", str(pool), "--models", "knn",
+        "--cells", "none,ros+eqs", "--folds", "2", "--out", str(results),
+    )[0] == 0
+    lines = results.read_text().splitlines(keepends=True)
+    lacking, without = tmp_path / "lacking.csv", tmp_path / "without.csv"
+    lacking.write_text("".join(lines[:7]))  # dataset_0001 lacks its ros+eqs cell
+    without.write_text("".join(lines[:5]))  # dataset_0001 has no cell at all
+    for path in (lacking, without):
+        code, _, _ = run(
+            capsys, "curves", "--results", str(path), "--model", "knn", "--out", str(path.with_suffix(".curves.csv")),
+        )
+        assert code == 0
+    assert (tmp_path / "lacking.curves.csv").read_bytes() == (tmp_path / "without.curves.csv").read_bytes()

@@ -56,6 +56,18 @@ def test_dataset_arrays_are_read_only():
         ds.labels[0] = 1
 
 
+def test_dataset_copies_the_callers_arrays():
+    features = np.zeros((3, 2))
+    labels = np.array([0, 0, 1], dtype=np.int64)
+    view = features[:]
+    ds = from_rows(features, labels)
+    view[0, 0] = 42.0  # a view taken before construction cannot reach the dataset
+    features[1, 1] = 7.0  # and the caller's arrays stay writable
+    labels[0] = 1
+    assert ds.features[0, 0] == 0.0 and ds.features[1, 1] == 0.0
+    assert ds.labels.tolist() == [0, 0, 1]
+
+
 def test_dataset_rejects_nan_and_inf():
     with pytest.raises(ValueError):
         Dataset(np.array([[np.nan]]), np.array([1]), ("a",))

@@ -1,4 +1,4 @@
-"""Static hygiene of the package source: no unused import and no unreferenced private name."""
+"""Static hygiene of the package source: no unused import, no pass-through export and no unreferenced private name."""
 
 from __future__ import annotations
 
@@ -58,6 +58,14 @@ def test_every_import_is_used_or_exported(module):
     tree = TREES[module]
     unused = _imported(tree) - _loaded(tree) - _exported(tree)
     assert not unused, f"{module} imports {sorted(unused)} without using or exporting them"
+
+
+@pytest.mark.parametrize("module", [name for name in TREES if not name.endswith("__init__.py")])
+def test_only_packages_reexport_imported_names(module):
+    # a module exports what it imports only when it uses it too; re-exporting is the package __init__'s job
+    tree = TREES[module]
+    passed_through = (_imported(tree) & _exported(tree)) - _loaded(tree)
+    assert not passed_through, f"{module} exports {sorted(passed_through)}, which it imports but does not use"
 
 
 def test_every_private_module_name_is_referenced():

@@ -185,6 +185,16 @@ def test_rus_drop_count_formula():
     assert result.dataset.class_counts() == (2, 2)
 
 
+def test_rus_up_to_ir_keeps_at_least_the_minor_count_of_majors():
+    # m <= IR = |C0|/|C1| drops round(|C0| - |C0|/m) <= |C0| - |C1| majors, so the class never empties
+    for n_major in range(2, 40):
+        for n_minor in range(1, n_major):
+            ds = make(n_major, n_minor)
+            ir = imbalance_ratio(ds)
+            for m in (ir, np.nextafter(ir, 1.0), (1.0 + ir) / 2):
+                assert rus(ds, m, seed=0).dataset.class_counts()[0] >= n_minor
+
+
 def test_rus_uniform_law_monte_carlo():
     ds = make(3, 2)
     counts = {ident: 0 for ident in ds.ids[:3]}
