@@ -531,19 +531,21 @@ def _assemble_matrices(cell_rows: dict[tuple[str, str, str], Sequence[tuple[str,
 
 
 def read_results(path: str | Path) -> dict[str, QualityMatrix]:
-    """Rebuild per-model quality matrices from a results CSV; a torn last line is an error."""
+    """Rebuild per-model quality matrices from a results CSV; a torn last line or a short ok cell group is an error."""
     groups, torn = _read_groups(Path(path))
     if torn:
         raise ParseError(f"{path}: torn last line {torn!r}")
     if not groups:
         raise ParseError(f"{path}: no result rows")
     data: dict[tuple[str, str, str], list[tuple[str, ...]]] = {}
+    # one run gives every ok cell the same folds, so a group that lost its last fold rows stands out
+    folds = max(len(rows) for _, rows in groups)
     for (dataset_id, model_name, method, strategy), rows in groups:
         cell = "none" if strategy == "none" else f"{method}+{strategy}"
         key = (dataset_id, model_name, cell)
         if key in data:
             raise ParseError(f"{path}: duplicate cell group {key}")
-        if not _group_complete(rows, len(rows)):
-            raise ParseError(f"{path}: malformed fold sequence in cell group {key}")
+        if not _group_complete(rows, folds):
+            raise ParseError(f"{path}: malformed fold sequence in cell group {key}, expected folds 0..{folds - 1}")
         data[key] = rows
     return _assemble_matrices(data)

@@ -52,26 +52,24 @@ def _precedes(a: tuple[int, int, int, float], b: tuple[int, int, int, float]) ->
     return (a[0] * b[1], a[2], a[3]) < (b[0] * a[1], b[2], b[3])
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float] | None:
-    """Lowest-weighted-Gini split of (X, y), or None when no split is valid.
+def _best_split(columns: np.ndarray, y: np.ndarray, orders: np.ndarray, min_leaf: int) -> tuple[int, float] | None:
+    """Lowest-weighted-Gini split of the node whose rows orders[j] lists by feature j, or None when no split is valid.
 
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values of each feature. A float pass locates the near-minimal
-    candidates; exact integer comparison then settles ties toward the
-    lower feature index and lower threshold.
+    columns is the training matrix transposed. Candidate thresholds are midpoints between consecutive distinct
+    sorted values of each feature. A float pass locates the near-minimal candidates; exact integer comparison
+    then settles ties toward the lower feature index and lower threshold.
     """
-    n, d = X.shape
-    orders = np.argsort(X, axis=0, kind="stable")
-    sorted_x = np.take_along_axis(X, orders, axis=0)
-    sorted_y = y[orders]
-    cum_minor = np.cumsum(sorted_y, axis=0)
-    total_minor = int(cum_minor[-1, 0])
+    d, n = orders.shape
+    # orders[j, i] + j * (rows of columns) is the flat position of that value in columns
+    sorted_x = columns.ravel()[orders + np.arange(0, columns.size, columns.shape[1])[:, None]]
+    cum_minor = np.cumsum(y[orders], axis=1)
+    total_minor = int(cum_minor[0, -1])
 
-    n_left = np.arange(1, n, dtype=np.float64)[:, None]
+    n_left = np.arange(1, n, dtype=np.float64)
     n_right = n - n_left
-    k_left = cum_minor[:-1, :].astype(np.float64)
+    k_left = cum_minor[:, :-1].astype(np.float64)
     k_right = total_minor - k_left
-    valid = (sorted_x[1:, :] != sorted_x[:-1, :]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+    valid = (sorted_x[:, 1:] != sorted_x[:, :-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
     if not valid.any():
         return None
     cost = (
@@ -82,13 +80,13 @@ def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float
     )
     cost[~valid] = np.inf
     lowest = cost.min()
-    near = np.argwhere(cost <= lowest + 1e-9 * max(1.0, abs(lowest)))
+    near = np.nonzero(cost <= lowest + 1e-9 * max(1.0, abs(lowest)))
 
     best: tuple[int, int, int, float] | None = None
-    for pos, j in near:
+    for j, pos in zip(*near):
         size = int(pos) + 1
-        k_left = int(cum_minor[pos, j])
-        threshold = (float(sorted_x[pos, j]) + float(sorted_x[pos + 1, j])) / 2.0
+        k_left = int(cum_minor[j, pos])
+        threshold = (float(sorted_x[j, pos]) + float(sorted_x[j, pos + 1])) / 2.0
         key = (*_exact_cost(size, k_left, n - size, total_minor - k_left), int(j), threshold)
         if best is None or _precedes(key, best):
             best = key
@@ -96,27 +94,27 @@ def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float
     return best[2], best[3]
 
 
-def _build(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int, max_depth: int, min_leaf: int) -> TreeNode:
-    labels = y[idx]
+def _build(columns: np.ndarray, y: np.ndarray, orders: np.ndarray, depth: int, max_depth: int, min_leaf: int) -> TreeNode:
+    """The subtree of the rows in orders; a child's orders are its parent's, filtered, so still sorted."""
+    labels = y[orders[0]]
     minor = int(labels.sum())
-    if minor == 0 or minor == len(idx) or depth >= max_depth or len(idx) < 2 * min_leaf:
+    if minor == 0 or minor == len(labels) or depth >= max_depth or len(labels) < 2 * min_leaf:
         return _leaf(labels)
-    split = _best_split(X[idx], labels, min_leaf)
+    split = _best_split(columns, y, orders, min_leaf)
     if split is None:
         return _leaf(labels)
     feature, threshold = split
-    go_left = X[idx, feature] <= threshold
-    left_idx = idx[go_left]
-    right_idx = idx[~go_left]
-    if len(left_idx) == 0 or len(right_idx) == 0:
+    go_left = (columns[feature] <= threshold)[orders]
+    left, right = orders[go_left].reshape(len(orders), -1), orders[~go_left].reshape(len(orders), -1)
+    if left.size == 0 or right.size == 0:
         return _leaf(labels)
     return TreeNode(
-        score=(minor + 1) / (len(idx) + 2),
-        n=len(idx),
+        score=(minor + 1) / (len(labels) + 2),
+        n=len(labels),
         feature=feature,
         threshold=threshold,
-        left=_build(X, y, left_idx, depth + 1, max_depth, min_leaf),
-        right=_build(X, y, right_idx, depth + 1, max_depth, min_leaf),
+        left=_build(columns, y, left, depth + 1, max_depth, min_leaf),
+        right=_build(columns, y, right, depth + 1, max_depth, min_leaf),
     )
 
 
@@ -180,5 +178,7 @@ class TreeScorer:
 def fit_tree(train: Dataset, max_depth: int, min_leaf: int) -> TreeScorer:
     if max_depth < 1 or min_leaf < 1:
         raise ValueError(f"max_depth and min_leaf must be positive, got {max_depth}, {min_leaf}")
-    root = _build(train.features, train.labels, np.arange(train.size), 0, max_depth, min_leaf)
+    columns = np.ascontiguousarray(train.features.T)
+    # one stable sort per feature, ties by row index, as every node sees its rows
+    root = _build(columns, train.labels, np.argsort(columns, axis=1, kind="stable"), 0, max_depth, min_leaf)
     return TreeScorer(root=root, n_features=train.dim, params={"max_depth": max_depth, "min_leaf": min_leaf})

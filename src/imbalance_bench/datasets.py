@@ -31,32 +31,23 @@ log = logging.getLogger(__name__)
 LABEL_COLUMN = "label"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Dataset:
-    """Immutable feature matrix with binary labels and provenance ids."""
+    """Immutable feature matrix with binary labels and provenance ids, stored as int64 ``codes``.
+
+    ``orig:<r>`` is coded r and ``synth:<c>`` -(c+1); an id that would not render back to itself is rejected.
+    """
 
     features: np.ndarray
     labels: np.ndarray
-    ids: tuple[str, ...]
+    codes: np.ndarray
 
-    def __post_init__(self) -> None:
-        features = _frozen(self.features, np.float64)
-        labels = _frozen(self.labels, np.int64)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "ids", tuple(self.ids))
-        if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] < 1:
-            raise ValueError(f"features must be a nonempty 2-D matrix, got shape {features.shape}")
-        if not np.isfinite(features).all():
-            raise ValueError("features contain NaN or Inf")
-        if labels.shape != (features.shape[0],):
-            raise ValueError("labels length does not match feature rows")
-        if not np.isin(labels, (0, 1)).all():
-            raise LabelError("labels must be 0 or 1")
-        if len(self.ids) != features.shape[0]:
-            raise ValueError("ids length does not match feature rows")
-        if len(set(self.ids)) != len(self.ids):
-            raise ValueError("ids must be pairwise distinct")
+    def __init__(self, features, labels, ids: Sequence[str]) -> None:
+        _checked(self, features, labels, [_encode(ident) for ident in ids])
+
+    @property
+    def ids(self) -> tuple[str, ...]:
+        return _rendered(self.codes)
 
     @property
     def size(self) -> int:
@@ -75,14 +66,59 @@ class Dataset:
         return self.size - minor, minor
 
     def subset(self, indices: Sequence[int] | np.ndarray) -> Dataset:
+        """The rows at indices, in that order; they must be distinct, and nothing else is checked again."""
         idx = np.asarray(indices, dtype=np.intp)
-        return Dataset(self.features[idx], self.labels[idx], tuple(self.ids[i] for i in idx))
+        if not (idx.ndim == 1 and idx.size and idx[0] >= 0 and (idx[1:] > idx[:-1]).all()):
+            # negative indices are normalized first, so that -1 and size - 1 count as one row
+            rows = np.sort(np.arange(self.size)[idx], axis=None)
+            if idx.ndim != 1 or rows.size == 0 or (rows[1:] == rows[:-1]).any():
+                raise ValueError("ids must be pairwise distinct, from a nonempty vector of indices")
+        return _assigned(object.__new__(Dataset), self.features[idx], self.labels[idx], self.codes[idx])
+
+
+def _encode(ident: str) -> int:
+    kind, _, number = str(ident).partition(":")
+    if kind not in ("orig", "synth") or not number.isdecimal() or str(int(number)) != number:
+        raise ValueError(f"id {ident!r} is not orig:<row> or synth:<counter> in canonical form")
+    return int(number) if kind == "orig" else -int(number) - 1
+
+
+def _rendered(codes: np.ndarray) -> tuple[str, ...]:
+    """The ids that an array of Dataset codes stands for."""
+    return tuple(f"orig:{c}" if c >= 0 else f"synth:{-c - 1}" for c in codes.tolist())
+
+
+def _assigned(dataset: Dataset, features: np.ndarray, labels: np.ndarray, codes: np.ndarray) -> Dataset:
+    """dataset holding the three arrays, made read-only where they are, not copied."""
+    for name, values in (("features", features), ("labels", labels), ("codes", codes)):
+        values.setflags(write=False)
+        object.__setattr__(dataset, name, values)
+    return dataset
+
+
+def _checked(dataset: Dataset, features, labels, codes) -> Dataset:
+    """dataset holding read-only copies of the arrays, once every invariant of a Dataset holds."""
+    features = _frozen(features, np.float64)
+    labels = _frozen(labels, np.int64)
+    if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] < 1:
+        raise ValueError(f"features must be a nonempty 2-D matrix, got shape {features.shape}")
+    if not np.isfinite(features).all():
+        raise ValueError("features contain NaN or Inf")
+    if labels.shape != (features.shape[0],):
+        raise ValueError("labels length does not match feature rows")
+    if not ((labels == 0) | (labels == 1)).all():
+        raise LabelError("labels must be 0 or 1")
+    codes = np.array(codes, dtype=np.int64)
+    if codes.shape != labels.shape:
+        raise ValueError("ids length does not match feature rows")
+    if (np.diff(np.sort(codes)) == 0).any():
+        raise ValueError("ids must be pairwise distinct")
+    return _assigned(dataset, features, labels, codes)
 
 
 def from_rows(features: np.ndarray, labels: np.ndarray) -> Dataset:
     """Dataset with fresh ``orig:<row>`` ids."""
-    n = np.asarray(features).shape[0]
-    return Dataset(features, labels, tuple(f"orig:{i}" for i in range(n)))
+    return _checked(object.__new__(Dataset), features, labels, np.arange(np.asarray(features).shape[0]))
 
 
 def feature_matrix(X, n_features: int) -> np.ndarray:
@@ -250,11 +286,11 @@ def stratified_kfold(
         for fold, chunk in enumerate(np.array_split(shuffled, k)):
             per_fold[fold].append(chunk)
     folds = []
-    all_idx = np.arange(dataset.size)
     for parts in per_fold:
         test = np.sort(np.concatenate(parts))
-        train = np.setdiff1d(all_idx, test, assume_unique=True)
-        folds.append((train, test))
+        in_train = np.ones(dataset.size, dtype=bool)
+        in_train[test] = False
+        folds.append((np.flatnonzero(in_train), test))
     return folds
 
 

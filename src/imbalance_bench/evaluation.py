@@ -34,7 +34,7 @@ from typing import Callable, Iterator, NamedTuple, Union
 import numpy as np
 
 from .classifiers import ModelSpec, TrainedScorer, fit_with_params, select_hyperparams, simplest_params
-from .datasets import Dataset, imbalance_ratio, stratified_kfold
+from .datasets import Dataset, _rendered, imbalance_ratio, stratified_kfold
 from .errors import ConfigError, EmptyClass, EmptyGrid, MinorityTooSmall, MultiplierOutOfRange
 from .metrics import pr_auc
 from .resampling import DEFAULT_SMOTE_K, Method, ResamplingSpec, resample
@@ -137,16 +137,15 @@ def fit(spec: ModelSpec, train: Dataset) -> TrainedScorer:
 
 
 class _Fold(NamedTuple):
-    """One fold's outcome, the per-fold fields of a CVReport."""
+    """One fold's outcome, the per-fold fields of a CVReport; ids as codes, rendered only for a report."""
 
     score: float
     params: dict
-    train_size: int
     multiplier: float
     method: str
     degraded: bool
-    train_ids: tuple[str, ...]
-    test_ids: tuple[str, ...]
+    train_codes: np.ndarray
+    test_codes: np.ndarray
 
 
 def _cv_folds(
@@ -179,12 +178,11 @@ def _cv_folds(
         yield _Fold(
             score=pr_auc(scorer.score(test.features), test.labels),
             params=params,
-            train_size=resampled.size,
             multiplier=float(fold_spec.multiplier),
             method=fold_spec.method.value,
             degraded=degraded,
-            train_ids=resampled.ids,
-            test_ids=test.ids,
+            train_codes=resampled.codes,
+            test_codes=test.codes,
         )
 
 
@@ -194,12 +192,12 @@ def _report(outcomes: list[_Fold]) -> CVReport:
         fold_scores=tuple(scores),
         qcv=float(np.mean(scores)),
         fold_params=tuple(o.params for o in outcomes),
-        fold_train_sizes=tuple(o.train_size for o in outcomes),
+        fold_train_sizes=tuple(len(o.train_codes) for o in outcomes),
         fold_multipliers=tuple(o.multiplier for o in outcomes),
         fold_methods=tuple(o.method for o in outcomes),
         degraded=any(o.degraded for o in outcomes),
-        fold_train_ids=tuple(o.train_ids for o in outcomes),
-        fold_test_ids=tuple(o.test_ids for o in outcomes),
+        fold_train_ids=tuple(_rendered(o.train_codes) for o in outcomes),
+        fold_test_ids=tuple(_rendered(o.test_codes) for o in outcomes),
     )
 
 

@@ -43,7 +43,7 @@ class PRCurve:
         # fsum keeps the telescoping recall steps exact, so a perfect
         # ranking yields 1.0 and not 1.0 minus an ulp
         prev = np.concatenate([[0.0], self.recalls[:-1]])
-        return math.fsum((self.recalls - prev) * self.precisions)
+        return math.fsum(((self.recalls - prev) * self.precisions).tolist())
 
 
 def _validated(scores, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -53,7 +53,7 @@ def _validated(scores, labels) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"scores and labels must be equal-length nonempty vectors, got {s.shape} vs {y.shape}")
     if not np.isfinite(s).all():
         raise ValueError("scores must be finite")
-    if not np.isin(y, (0, 1)).all():
+    if not ((y == 0) | (y == 1)).all():
         raise ValueError("labels must be 0 or 1")
     if y.sum() == 0:
         raise NoPositives("pr curve needs at least one positive label")
@@ -65,15 +65,12 @@ def pr_curve(scores, labels) -> PRCurve:
     s, y = _validated(scores, labels)
     order = np.argsort(-s, kind="stable")
     s = s[order]
-    y = y[order]
-    tp = np.cumsum(y)
-    n_seen = np.arange(1, len(s) + 1)
-    # last position of each tied-score block
-    last = np.append(np.flatnonzero(np.diff(s) != 0), len(s) - 1)
-    keep = last[tp[last] > 0]
-    recalls = tp[keep] / tp[-1]
-    precisions = tp[keep] / n_seen[keep]
-    return PRCurve(thresholds=s[keep], recalls=recalls, precisions=precisions)
+    tp = np.cumsum(y[order])
+    # last position of each tied-score block, once the blocks so far cover a positive
+    last = tp > 0
+    last[:-1] &= s[1:] != s[:-1]
+    keep = np.flatnonzero(last)
+    return PRCurve(thresholds=s[keep], recalls=tp[keep] / tp[-1], precisions=tp[keep] / (keep + 1))
 
 
 def pr_auc(scores, labels) -> float:

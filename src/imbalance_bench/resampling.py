@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .datasets import Dataset, distance_blocks, imbalance_ratio, k_nearest
+from .datasets import Dataset, _assigned, _rendered, distance_blocks, imbalance_ratio, k_nearest
 from .errors import MinorityTooSmall, MultiplierOutOfRange
 from .rng import substream, uniform_closed
 
@@ -75,9 +75,26 @@ class SmoteRecord:
 
 @dataclass(frozen=True)
 class ResampleResult:
+    """The resampled dataset, and its provenance as ``Dataset.codes`` that ``added`` and ``removed_ids`` render.
+
+    Added row i is synth_codes[i], made from seed_codes[i] and neighbor_codes[i] with weight lams[i].
+    """
+
     dataset: Dataset
-    added: tuple[SmoteRecord, ...] = ()
-    removed_ids: tuple[str, ...] = field(default=())
+    synth_codes: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    seed_codes: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    neighbor_codes: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    lams: np.ndarray = field(default_factory=lambda: np.empty(0))
+    removed_codes: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+
+    @property
+    def added(self) -> tuple[SmoteRecord, ...]:
+        ids = (_rendered(codes) for codes in (self.synth_codes, self.seed_codes, self.neighbor_codes))
+        return tuple(SmoteRecord(*record) for record in zip(*ids, self.lams.tolist()))
+
+    @property
+    def removed_ids(self) -> tuple[str, ...]:
+        return _rendered(self.removed_codes)
 
 
 def _round_half_even(x: float) -> int:
@@ -92,25 +109,15 @@ def _check_multiplier(dataset: Dataset, m: float) -> None:
         )
 
 
-def _next_synth_counter(dataset: Dataset) -> int:
-    highest = -1
-    for ident in dataset.ids:
-        if ident.startswith("synth:"):
-            highest = max(highest, int(ident.split(":", 1)[1]))
-    return highest + 1
-
-
 def _append(dataset: Dataset, rows: np.ndarray, seeds: np.ndarray, neighbors: np.ndarray, lams: np.ndarray) -> ResampleResult:
     """The dataset with minor rows appended under fresh synth ids, each recorded as (seed, neighbour, lam)."""
-    counter = _next_synth_counter(dataset)
-    new_ids = tuple(f"synth:{counter + i}" for i in range(len(rows)))
-    records = tuple(
-        SmoteRecord(synth_id=synth_id, seed_id=dataset.ids[s], neighbor_id=dataset.ids[n], lam=lam)
-        for synth_id, s, n, lam in zip(new_ids, seeds.tolist(), neighbors.tolist(), lams.tolist())
-    )
+    # synth:<c> is coded -(c+1), so fresh counters continue one above the highest, or from 0
+    synth = min(int(dataset.codes.min()), 0) - 1 - np.arange(len(rows))
     features = np.vstack([dataset.features, rows])
     labels = np.concatenate([dataset.labels, np.ones(len(rows), dtype=np.int64)])
-    return ResampleResult(dataset=Dataset(features, labels, dataset.ids + new_ids), added=records)
+    # finite rows labelled 1 under fresh codes: the checks of a Dataset hold without running them again
+    appended = _assigned(object.__new__(Dataset), features, labels, np.concatenate([dataset.codes, synth]))
+    return ResampleResult(appended, synth, dataset.codes[seeds], dataset.codes[neighbors], lams)
 
 
 def ros(dataset: Dataset, m: float, seed: int) -> ResampleResult:
@@ -134,9 +141,9 @@ def rus(dataset: Dataset, m: float, seed: int) -> ResampleResult:
         return ResampleResult(dataset=dataset)
     rng = substream(seed, "rus")
     dropped = rng.permutation(major_idx)[:n_drop]
-    removed_ids = tuple(dataset.ids[i] for i in np.sort(dropped))
-    keep = np.setdiff1d(np.arange(dataset.size), dropped, assume_unique=True)
-    return ResampleResult(dataset=dataset.subset(keep), removed_ids=removed_ids)
+    keep = np.ones(dataset.size, dtype=bool)
+    keep[dropped] = False
+    return ResampleResult(dataset=dataset.subset(np.flatnonzero(keep)), removed_codes=dataset.codes[~keep])
 
 
 def _minor_neighbors(minor: np.ndarray, seeds: np.ndarray, k_eff: int) -> np.ndarray:

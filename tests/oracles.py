@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from imbalance_bench import fit_with_params, pr_auc
 from imbalance_bench.classifiers import _simplicity_key
+from imbalance_bench.classifiers.tree import TreeNode, _exact_cost, _leaf, _precedes
 from imbalance_bench.datasets import Dataset, feature_matrix, imbalance_ratio, stratified_kfold
-from imbalance_bench.errors import EmptyGrid, MinorityTooSmall, MultiplierOutOfRange
+from imbalance_bench.errors import EmptyGrid, MinorityTooSmall, MultiplierOutOfRange, TooFewElements
 from imbalance_bench.evaluation import (
     _INFEASIBLE,
     DEFAULT_MULTIPLIER_GRID,
@@ -21,11 +24,9 @@ from imbalance_bench.evaluation import (
 from imbalance_bench.resampling import (
     DEFAULT_SMOTE_K,
     Method,
-    ResampleResult,
     ResamplingSpec,
     SmoteRecord,
     _check_multiplier,
-    _next_synth_counter,
     _round_half_even,
     resample,
 )
@@ -146,6 +147,23 @@ def knn_loop_score(scorer, X):
     return out
 
 
+def _next_synth_counter(dataset: Dataset) -> int:
+    """One above the highest synth counter, parsed from every id string; 0 when there is none."""
+    highest = -1
+    for ident in dataset.ids:
+        if ident.startswith("synth:"):
+            highest = max(highest, int(ident.split(":", 1)[1]))
+    return highest + 1
+
+
+class ResampleResult(NamedTuple):
+    """A resampling outcome with its provenance as id strings and records, built as it happens."""
+
+    dataset: Dataset
+    added: tuple[SmoteRecord, ...] = ()
+    removed_ids: tuple[str, ...] = ()
+
+
 # ROS and SMOTE with a record loop each; SMOTE with a loop over the synthetics, a neighbour cache and
 # a full stable sort of each seed's distances
 def ros(dataset: Dataset, m: float, seed: int) -> ResampleResult:
@@ -232,6 +250,21 @@ def smote(dataset: Dataset, m: float, seed: int, k: int = DEFAULT_SMOTE_K) -> Re
     return ResampleResult(
         dataset=Dataset(features, labels, dataset.ids + new_ids), added=tuple(records)
     )
+
+
+# RUS with its kept rows taken by setdiff1d and its removed ids rendered as it draws them
+def rus(dataset: Dataset, m: float, seed: int) -> ResampleResult:
+    """Drop a uniform random subset of the major class of size round(|C0|(m-1)/m)."""
+    _check_multiplier(dataset, m)
+    major_idx = dataset.class_indices(0)
+    n_drop = _round_half_even(len(major_idx) * (m - 1.0) / m)
+    if n_drop == 0:
+        return ResampleResult(dataset=dataset)
+    rng = substream(seed, "rus")
+    dropped = rng.permutation(major_idx)[:n_drop]
+    removed_ids = tuple(dataset.ids[i] for i in np.sort(dropped))
+    keep = np.setdiff1d(np.arange(dataset.size), dropped, assume_unique=True)
+    return ResampleResult(dataset=string_subset(dataset, keep), removed_ids=removed_ids)
 
 
 # cv_quality with its fold loop inline, and select_multiplier_cvs scanning every fold of every grid point
@@ -327,3 +360,118 @@ def select_multiplier_cvs(
 
     report = cv_quality(dataset, nested_pick, model, folds, seed)
     return None, report.qcv, (), report
+
+
+# Dataset.subset rebuilding the id strings and running every check of the constructor
+def string_subset(dataset: Dataset, indices) -> Dataset:
+    idx = np.asarray(indices, dtype=np.intp)
+    return Dataset(dataset.features[idx], dataset.labels[idx], tuple(dataset.ids[i] for i in idx))
+
+
+def setdiff_kfold(dataset: Dataset, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """stratified_kfold with each training side taken by setdiff1d."""
+    if k < 2:
+        raise ValueError(f"k must be at least 2, got {k}")
+    rng = substream(seed, "stratified-kfold", k)
+    per_fold: list[list[np.ndarray]] = [[] for _ in range(k)]
+    for label in (0, 1):
+        idx = dataset.class_indices(label)
+        if len(idx) < k:
+            raise TooFewElements(
+                f"class {label} has {len(idx)} elements, fewer than {k} folds"
+            )
+        shuffled = rng.permutation(idx)
+        for fold, chunk in enumerate(np.array_split(shuffled, k)):
+            per_fold[fold].append(chunk)
+    folds = []
+    all_idx = np.arange(dataset.size)
+    for parts in per_fold:
+        test = np.sort(np.concatenate(parts))
+        train = np.setdiff1d(all_idx, test, assume_unique=True)
+        folds.append((train, test))
+    return folds
+
+
+def pr_curve_area(scores, labels) -> float:
+    """pr_auc as pr_curve(scores, labels).area(): every array of the curve built, then the area of its steps."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    order = np.argsort(-s, kind="stable")
+    s = s[order]
+    y = y[order]
+    tp = np.cumsum(y)
+    n_seen = np.arange(1, len(s) + 1)
+    # last position of each tied-score block
+    last = np.append(np.flatnonzero(np.diff(s) != 0), len(s) - 1)
+    keep = last[tp[last] > 0]
+    recalls = tp[keep] / tp[-1]
+    precisions = tp[keep] / n_seen[keep]
+    prev = np.concatenate([[0.0], recalls[:-1]])
+    return math.fsum((recalls - prev) * precisions)
+
+
+# fit_tree with an argsort of every feature at every node
+def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float] | None:
+    n, d = X.shape
+    orders = np.argsort(X, axis=0, kind="stable")
+    sorted_x = np.take_along_axis(X, orders, axis=0)
+    sorted_y = y[orders]
+    cum_minor = np.cumsum(sorted_y, axis=0)
+    total_minor = int(cum_minor[-1, 0])
+
+    n_left = np.arange(1, n, dtype=np.float64)[:, None]
+    n_right = n - n_left
+    k_left = cum_minor[:-1, :].astype(np.float64)
+    k_right = total_minor - k_left
+    valid = (sorted_x[1:, :] != sorted_x[:-1, :]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+    if not valid.any():
+        return None
+    cost = (
+        n_left
+        - (k_left**2 + (n_left - k_left) ** 2) / n_left
+        + n_right
+        - (k_right**2 + (n_right - k_right) ** 2) / n_right
+    )
+    cost[~valid] = np.inf
+    lowest = cost.min()
+    near = np.argwhere(cost <= lowest + 1e-9 * max(1.0, abs(lowest)))
+
+    best: tuple[int, int, int, float] | None = None
+    for pos, j in near:
+        size = int(pos) + 1
+        k_left = int(cum_minor[pos, j])
+        threshold = (float(sorted_x[pos, j]) + float(sorted_x[pos + 1, j])) / 2.0
+        key = (*_exact_cost(size, k_left, n - size, total_minor - k_left), int(j), threshold)
+        if best is None or _precedes(key, best):
+            best = key
+    assert best is not None
+    return best[2], best[3]
+
+
+def _build(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int, max_depth: int, min_leaf: int) -> TreeNode:
+    labels = y[idx]
+    minor = int(labels.sum())
+    if minor == 0 or minor == len(idx) or depth >= max_depth or len(idx) < 2 * min_leaf:
+        return _leaf(labels)
+    split = _best_split(X[idx], labels, min_leaf)
+    if split is None:
+        return _leaf(labels)
+    feature, threshold = split
+    go_left = X[idx, feature] <= threshold
+    left_idx = idx[go_left]
+    right_idx = idx[~go_left]
+    if len(left_idx) == 0 or len(right_idx) == 0:
+        return _leaf(labels)
+    return TreeNode(
+        score=(minor + 1) / (len(idx) + 2),
+        n=len(idx),
+        feature=feature,
+        threshold=threshold,
+        left=_build(X, y, left_idx, depth + 1, max_depth, min_leaf),
+        right=_build(X, y, right_idx, depth + 1, max_depth, min_leaf),
+    )
+
+
+def per_node_sort_tree(train: Dataset, max_depth: int, min_leaf: int) -> TreeNode:
+    """The root fit_tree grows, each node sorting its own rows again."""
+    return _build(train.features, train.labels, np.arange(train.size), 0, max_depth, min_leaf)

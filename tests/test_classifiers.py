@@ -25,7 +25,15 @@ from imbalance_bench.classifiers import simplest_params
 from imbalance_bench.classifiers.knn import fit_knn
 from imbalance_bench.classifiers.logreg import LogRegScorer, _sigmoid, fit_logreg, solve_l1_logreg, standardize_stats
 from imbalance_bench.classifiers.tree import _exact_cost, _precedes, fit_tree
-from oracles import brute_force_best_split, fraction_cost, full_search, ista, knn_loop_score, masked_sigmoid
+from oracles import (
+    brute_force_best_split,
+    fraction_cost,
+    full_search,
+    ista,
+    knn_loop_score,
+    masked_sigmoid,
+    per_node_sort_tree,
+)
 from test_golden import ties_pool
 
 
@@ -167,6 +175,39 @@ def test_truncated_tree_equals_direct_fit(leaf):
             assert deep.truncated(depth) == fit_tree(ds, depth, leaf)
             cut += depth < deep.depth
     assert cut > len(datasets)  # most trees are deeper than the shallow depths
+
+
+def tree_bits(node):
+    """The tree as nested tuples, floats as hex so that -0.0 and 0.0 differ."""
+    if node.is_leaf:
+        return node.score.hex(), node.n
+    return node.score.hex(), node.n, node.feature, node.threshold.hex(), tree_bits(node.left), tree_bits(node.right)
+
+
+@pytest.mark.parametrize("kind", ["continuous", "integer", "constant-columns", "signed-zero"])
+def test_tree_sorted_once_matches_per_node_sort_oracle(kind):
+    grown = 0
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(20, 160)), int(rng.integers(1, 6))
+        if kind == "continuous":
+            X = rng.normal(size=(n, d))
+        elif kind == "integer":
+            X = rng.integers(0, 3, size=(n, d)).astype(float)  # many ties, inside nodes too
+        elif kind == "constant-columns":
+            X = rng.normal(size=(n, d + 2))
+            X[:, 0] = 1.0
+            X[:, -1] = -2.5
+        else:
+            X = rng.choice([-0.0, 0.0, -1.0, 1.0], size=(n, d))
+        y = (rng.uniform(size=n) < rng.uniform(0.1, 0.5)).astype(int)
+        y[:2] = (0, 1)
+        ds = from_rows(X, y)
+        for max_depth, min_leaf in ((1, 1), (3, 2), (25, 1), (25, 5)):
+            got = fit_tree(ds, max_depth, min_leaf).root
+            assert tree_bits(got) == tree_bits(per_node_sort_tree(ds, max_depth, min_leaf)), (seed, max_depth, min_leaf)
+            grown += not got.is_leaf
+    assert grown > 20
 
 
 def test_truncated_rejects_depth_outside_the_fit():

@@ -557,6 +557,10 @@ BAD_RESULTS = {
         lambda lines: lines[:1] + lines[2:],  # fold 0 of the first group lost
         "incomplete cell group ('dataset_0000', 'knn', 'none', 'none') in the middle of the file",
     ),
+    "group-lost-last-fold": (
+        lambda lines: lines[:2] + lines[3:],  # fold 1 of the first group lost, so folds 0..0 look complete
+        "incomplete cell group ('dataset_0000', 'knn', 'none', 'none') in the middle of the file",
+    ),
 }
 
 

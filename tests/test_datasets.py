@@ -14,17 +14,21 @@ from imbalance_bench import (
     GaussianPoolConfig,
     LabelError,
     MajorityMislabeled,
+    Method,
     ParseError,
+    ResamplingSpec,
     TooFewElements,
     from_rows,
     generate_gaussian_pool,
     imbalance_ratio,
     load_csv,
     load_pool,
+    resample,
     save_csv,
     stratified_kfold,
     write_pool,
 )
+import oracles
 
 
 def make(n_major: int, n_minor: int, d: int = 2, seed: int = 0) -> Dataset:
@@ -70,26 +74,41 @@ def test_dataset_copies_the_callers_arrays():
 
 def test_dataset_rejects_nan_and_inf():
     with pytest.raises(ValueError):
-        Dataset(np.array([[np.nan]]), np.array([1]), ("a",))
+        Dataset(np.array([[np.nan]]), np.array([1]), ("orig:0",))
     with pytest.raises(ValueError):
-        Dataset(np.array([[np.inf]]), np.array([1]), ("a",))
+        Dataset(np.array([[np.inf]]), np.array([1]), ("orig:0",))
 
 
 def test_dataset_rejects_bad_labels():
     with pytest.raises(LabelError):
-        Dataset(np.ones((2, 1)), np.array([0, 2]), ("a", "b"))
+        Dataset(np.ones((2, 1)), np.array([0, 2]), ("orig:0", "orig:1"))
 
 
 def test_dataset_rejects_duplicate_ids():
     with pytest.raises(ValueError):
-        Dataset(np.ones((2, 1)), np.array([0, 1]), ("a", "a"))
+        Dataset(np.ones((2, 1)), np.array([0, 1]), ("orig:0", "orig:0"))
+
+
+@pytest.mark.parametrize("ident", ["a", "orig:01", "synth:-1", "orig:1.0", "orig:", "synth:1 ", 3])
+def test_dataset_rejects_ids_that_do_not_render_back(ident):
+    with pytest.raises(ValueError, match="canonical"):
+        Dataset(np.ones((2, 1)), np.array([0, 1]), ("orig:0", ident))
+
+
+def test_dataset_ids_round_trip_through_codes():
+    ids = ("synth:12", "orig:0", "orig:7", "synth:0")
+    ds = Dataset(np.ones((4, 1)), np.array([0, 1, 0, 1]), ids)
+    assert ds.codes.tolist() == [-13, 0, 7, -1]
+    assert ds.ids == ids
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        Dataset(np.ones((2, 1)), np.array([0, 1]), ("synth:3", "synth:3"))
 
 
 def test_dataset_rejects_shape_mismatches():
     with pytest.raises(ValueError):
-        Dataset(np.ones((2, 1)), np.array([0, 1, 1]), ("a", "b"))
+        Dataset(np.ones((2, 1)), np.array([0, 1, 1]), ("orig:0", "orig:1"))
     with pytest.raises(ValueError):
-        Dataset(np.ones((2, 1)), np.array([0, 1]), ("a",))
+        Dataset(np.ones((2, 1)), np.array([0, 1]), ("orig:0",))
     with pytest.raises(ValueError):
         Dataset(np.ones((0, 1)), np.array([]), ())
 
@@ -100,6 +119,38 @@ def test_subset_keeps_rows_and_ids():
     assert sub.ids == ("orig:4", "orig:1")
     assert np.array_equal(sub.features, ds.features[[4, 1]])
     assert list(sub.labels) == [1, 0]
+
+
+def assert_same_dataset(got, want):
+    assert got.features.tobytes() == want.features.tobytes() and got.features.shape == want.features.shape
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.ids == want.ids
+    assert not (got.features.flags.writeable or got.labels.flags.writeable or got.codes.flags.writeable)
+
+
+def test_subset_matches_string_id_oracle():
+    ds = resample(make(12, 6, d=3, seed=4), ResamplingSpec(Method.SMOTE, 1.5), seed=0).dataset
+    rng = np.random.default_rng(0)
+    cases = [
+        np.arange(ds.size),
+        [0],
+        [ds.size - 1, 0],  # unsorted distinct indices keep their order
+        [-1, 0, 3],
+        np.flatnonzero(rng.integers(0, 2, size=ds.size)),
+        *(rng.permutation(ds.size)[: int(rng.integers(1, ds.size))] for _ in range(20)),
+    ]
+    for indices in cases:
+        got = ds.subset(indices)
+        assert_same_dataset(got, oracles.string_subset(ds, indices))
+        assert_same_dataset(got.subset(np.arange(got.size)[::-1]), oracles.string_subset(got, np.arange(got.size)[::-1]))
+    for repeated in ([1, 1], [3, 0, 3], [0, -ds.size], [ds.size - 1, -1]):
+        with pytest.raises(ValueError, match="ids must be pairwise distinct"):
+            oracles.string_subset(ds, repeated)
+        with pytest.raises(ValueError, match="ids must be pairwise distinct"):
+            ds.subset(repeated)
+    for empty in ([], np.zeros((2, 2), dtype=int)):
+        with pytest.raises(ValueError):
+            ds.subset(empty)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +175,7 @@ def test_imbalance_ratio_against_brute_force_count():
 
 
 def test_imbalance_ratio_requires_both_classes():
-    ds = Dataset(np.ones((3, 1)), np.zeros(3, dtype=int), ("a", "b", "c"))
+    ds = Dataset(np.ones((3, 1)), np.zeros(3, dtype=int), ("orig:0", "orig:1", "orig:2"))
     with pytest.raises(EmptyClass):
         imbalance_ratio(ds)
 
@@ -282,6 +333,19 @@ def test_folds_minor_counts_differ_by_at_most_one():
     minor_counts = [int(ds.labels[test].sum()) for _, test in folds]
     assert max(minor_counts) - min(minor_counts) <= 1
     assert sum(minor_counts) == 23
+
+
+def test_folds_match_setdiff_oracle():
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        n_minor = int(rng.integers(3, 30))
+        ds = make(int(rng.integers(n_minor, 120)), n_minor, seed=seed)
+        for k in {2, 3, min(10, n_minor)}:
+            for (train, test), (want_train, want_test) in zip(
+                stratified_kfold(ds, k, seed), oracles.setdiff_kfold(ds, k, seed), strict=True
+            ):
+                assert train.dtype == want_train.dtype and test.dtype == want_test.dtype
+                assert train.tobytes() == want_train.tobytes() and test.tobytes() == want_test.tobytes()
 
 
 def test_folds_rejects_k_below_two():

@@ -108,6 +108,24 @@ def test_pr_auc_worst_ranking():
     )
 
 
+def test_pr_auc_matches_pr_curve_area_bitwise():
+    rng = np.random.default_rng(5)
+    tied = 0
+    for trial in range(3000):
+        n = int(rng.integers(1, 120))
+        labels = rng.integers(0, 2, size=n)
+        labels[rng.integers(0, n)] = 1
+        if trial % 2:  # a few levels, signed zeros among them: long runs of tied scores
+            scores = rng.choice([-0.0, 0.0, 0.25, 0.5, 1.0], size=n)
+            tied += len(set(scores.tolist())) < n
+        else:
+            scores = rng.uniform(size=n)
+        want = oracles.pr_curve_area(scores, labels)
+        assert pr_auc(scores, labels).hex() == want.hex() == pr_curve(scores, labels).area().hex(), trial
+        assert pr_auc(scores.tolist(), labels.tolist()).hex() == want.hex()
+    assert tied > 1000
+
+
 def test_pr_auc_requires_positives():
     with pytest.raises(NoPositives):
         pr_auc([0.1, 0.2], [0, 0])

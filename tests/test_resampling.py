@@ -387,6 +387,20 @@ def test_synth_counter_continues_after_existing_synthetics():
     assert fresh == [f"synth:{8 + i}" for i in range(len(fresh))]
 
 
+def test_synth_counter_continues_at_the_highest_synthetic_also_after_rus():
+    rng = np.random.default_rng(3)
+    ids = [f"orig:{i}" for i in range(30)] + ["synth:9", "synth:2", "synth:40", "synth:0"] + [f"orig:{i}" for i in range(30, 36)]
+    ds = Dataset(rng.normal(size=(40, 2)), np.array([0] * 30 + [1] * 10), ids)
+    added = smote(ds, 2.0, seed=0).dataset.ids[ds.size :]
+    assert added == tuple(f"synth:{41 + i}" for i in range(10))
+    # rus drops only major rows, so every synthetic survives and the next counter stays above them
+    thinned = rus(ros(ds, 1.5, seed=1).dataset, 1.5, seed=2).dataset
+    assert max(int(i[6:]) for i in thinned.ids if i.startswith("synth:")) == 45
+    assert ros(thinned, 1.2, seed=3).dataset.ids[thinned.size :] == ("synth:46", "synth:47", "synth:48")
+    plain = make(30, 10)
+    assert ros(plain, 1.2, seed=0).dataset.ids[plain.size :] == ("synth:0", "synth:1")
+
+
 # ---------------------------------------------------------------------------
 # Array-form ROS and SMOTE against the per-synthetic loop
 # ---------------------------------------------------------------------------
@@ -456,3 +470,16 @@ def test_ros_and_smote_match_loop_oracle_bitwise(kind, rows_per_block, monkeypat
         grown = both(ros, oracles.ros, ds, 1.5, seed).dataset
         grown = both(smote, oracles.smote, grown, 1.5, seed, 5).dataset
         both(smote, oracles.smote, grown, 1.3, seed, 5)
+
+
+@pytest.mark.parametrize("kind", ["normal", "integer"])
+def test_rus_matches_setdiff_oracle_bitwise(kind):
+    ds = oracle_case(kind)
+    grown = smote(ros(ds, 1.5, seed=0).dataset, 1.4, seed=1).dataset  # synth ids among the kept rows
+    for data in (ds, grown):
+        ir = imbalance_ratio(data)
+        for seed in (0, 1):
+            for m in (1.0 + 1.0 / 120, (1.0 + ir) / 2, ir):  # one row dropped, some, and down to balance
+                got = rus(data, m, seed)
+                assert_same_result(got, oracles.rus(data, m, seed))
+                assert got.removed_ids and not set(got.removed_ids) & set(got.dataset.ids)
