@@ -1,4 +1,8 @@
-"""Slow-path oracles: the plain algorithms that fast paths must match bitwise."""
+"""Slow-path oracles: the plain algorithms that fast paths must match bitwise.
+
+``ista`` is the exception: the logreg solver is a different algorithm, and
+must reach an objective no worse than ISTA's.
+"""
 
 from __future__ import annotations
 
@@ -101,8 +105,22 @@ def _soft_threshold(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
+def l1_logreg_objective(X, y, w, b, lam):
+    loss, _, _ = _smooth_loss_and_gradient(w, b, X, y)
+    return _objective(loss, w, lam)
+
+
+def l1_logreg_kkt_residual(X, y, w, b, lam):
+    """Norm of the smallest subgradient of the L1 objective at (w, b), coordinate by coordinate."""
+    _, grad_w, grad_b = _smooth_loss_and_gradient(w, b, X, y)
+    parts = [grad_b]
+    for g, wj in zip(grad_w.tolist(), w.tolist()):
+        parts.append(g + math.copysign(lam, wj) if wj != 0.0 else max(abs(g) - lam, 0.0))
+    return math.sqrt(sum(p * p for p in parts))
+
+
 def ista(X, y, lam, max_iter=5000, tol=1e-8):
-    """solve_l1_logreg recomputing margins, loss and gradient at every accepted point."""
+    """ISTA with backtracking from w = 0, b = 0, stopping when an accepted step gains less than tol."""
     n, d = X.shape
     w = np.zeros(d)
     b = 0.0

@@ -29,7 +29,7 @@ GOLDEN = {
     ("tree", 1): "c3423f0cc99e94cd305a1d7e4c457d2ddbc7f76cc3086e4ab159c2e9f76b792c",
     ("knn", 1): "79825d1e3ea2047bad3564989231265eea623a528b81475a8d91f2992baaf012",
     ("knn", 2): "79825d1e3ea2047bad3564989231265eea623a528b81475a8d91f2992baaf012",
-    ("logreg", 1): "636d01e16b4039c2d9e48e8d2b563d958987ac2dce7d9ff6f6b04f2b0cdb5dcf",
+    ("logreg", 1): "53be728ee15d39ef0c476deeaba23e520281fda5d1093b59672b2de88b753257",
 }
 
 GOLDEN_TIES = {
